@@ -1,27 +1,25 @@
 // Microbench for the simulation kernel (sim/scheduler.hpp): exact
-// per-cycle stepping vs the legacy global-quiescence skip vs the
-// event-driven kernel vs the event kernel with compiled macro-steps, over
-// synthetic component graphs with four activity profiles:
+// per-cycle stepping vs the fast path (one quiescence poll per iteration,
+// then skip, macro-step grant or exact step), over synthetic component
+// graphs with four activity profiles:
 //
 //   idle    — one slow pulse source, a long relay chain: almost every
-//             cycle is globally quiet. Both fast paths should win big;
-//             the event kernel additionally avoids the O(N) quiescence
-//             poll at every boundary.
+//             cycle is globally quiet, so the fast path skips nearly all
+//             of them.
 //   steady  — several fast sources keep most components busy most
-//             cycles: the legacy skip almost never fires (global
-//             quiescence is rare) while the event kernel still elides
-//             the per-cycle ticks of whichever components are sleeping.
-//   bursty  — long quiet gaps separating dense bursts: the event kernel
-//             bulk-advances the gaps and pays dispatch only inside
-//             bursts.
+//             cycles: global quiescence is rare, so the fast path mostly
+//             pays its poll on top of an exact step (its worst case).
+//   bursty  — long quiet gaps separating dense bursts: the fast path
+//             skips the gaps and pays dispatch only inside bursts.
 //   macro_steady — one source whose per-cycle work is data-dependent
 //             (not a linear counter), so it can never report quiet and
-//             the event kernel must dispatch it every single cycle. Its
-//             macro_step() fuses the inter-emit span into one call: this
-//             is the steady-graph dispatch metric, self-checked to cut
-//             kernel dispatches per simulated cycle by at least 3x.
+//             exact stepping must dispatch it every single cycle. Its
+//             macro_step() fuses the inter-emit span into one granted
+//             call: this is the steady-graph dispatch metric,
+//             self-checked to cut kernel dispatches per simulated cycle
+//             by at least 3x against exact stepping.
 //
-// Self-verifying: all four stepping strategies must produce bit-identical
+// Self-verifying: both stepping strategies must produce bit-identical
 // component state (pop traces, signatures, counters) — any divergence is
 // a kernel bug and exits non-zero. Emits BENCH_sim_kernel.json with the
 // deterministic work and dispatch counts (gated exactly via *_sim_cycles)
@@ -86,12 +84,11 @@ class BurstSource final : public sim::Component {
 
 /// A source whose per-cycle work is an xorshift state update — data
 /// dependent, not a pure linear counter — so quiet_for() must report 0
-/// on every cycle and the event kernel has to dispatch it per cycle.
+/// on every cycle and exact stepping has to dispatch it per cycle.
 /// Every `period` cycles the tick is externally visible (emits a token
 /// stamped with the evolving state). macro_step() proves the component
 /// steady: it runs the same state updates fused, stopping one cycle
-/// before the emitting tick, which then runs as a normal tick and issues
-/// its wakeups.
+/// before the emitting tick, which then runs as a normal tick.
 class MacroSource final : public sim::Component {
  public:
   MacroSource(std::string name, sim::cycle_t period,
@@ -185,12 +182,12 @@ struct WorkloadSpec {
   std::size_t relays;
   sim::cycle_t cycles;
   /// > 0: the sources are MacroSources with this emit period instead of
-  /// BurstSources (exactly one source, so the single-owner grant rule of
-  /// Scheduler::try_macro_step can fire between emits).
+  /// BurstSources (exactly one source, so the single-due grant rule of
+  /// Scheduler::grant can fire between emits).
   sim::cycle_t macro_period = 0;
 };
 
-// Graph sizes chosen so the whole bench (4 workloads x 4 strategies x
+// Graph sizes chosen so the whole bench (4 workloads x 2 strategies x
 // kReps) finishes well under a second as a smoke test while each timed
 // section is long enough to resolve.
 constexpr WorkloadSpec kWorkloads[] = {
@@ -200,13 +197,9 @@ constexpr WorkloadSpec kWorkloads[] = {
     {"macro_steady", 1, 0, 0, 2, 200'000, /*macro_period=*/16},
 };
 
-enum class Strategy { kExact, kLegacySkip, kEventKernel, kEventMacro };
-constexpr Strategy kStrategies[] = {Strategy::kExact, Strategy::kLegacySkip,
-                                    Strategy::kEventKernel,
-                                    Strategy::kEventMacro};
-constexpr const char* kStrategyNames[] = {"exact", "legacy", "event",
-                                          "macro"};
-constexpr int kNumStrategies = 4;
+/// Index 0 is exact stepping, index 1 the fast path.
+constexpr const char* kStrategyNames[] = {"exact", "fast"};
+constexpr int kNumStrategies = 2;
 
 struct Graph {
   sim::Scheduler sched;
@@ -240,11 +233,6 @@ struct Graph {
     for (auto& s : sources) sched.add(s.get(), /*needs_commit=*/false);
     for (auto& s : macro_sources) sched.add(s.get(), /*needs_commit=*/false);
     for (auto& r : relays) sched.add(r.get(), /*needs_commit=*/false);
-    for (auto& s : sources) sched.add_wakeup(s.get(), relays[0].get());
-    for (auto& s : macro_sources) sched.add_wakeup(s.get(), relays[0].get());
-    for (std::size_t i = 0; i + 1 < spec.relays; ++i) {
-      sched.add_wakeup(relays[i].get(), relays[i + 1].get());
-    }
   }
 
   /// Everything observable, for cross-strategy bit-identity checks.
@@ -283,25 +271,14 @@ struct RunResult {
   std::uint64_t dispatches = 0;
 };
 
-RunResult run_workload(const WorkloadSpec& spec, Strategy strategy) {
+RunResult run_workload(const WorkloadSpec& spec, bool fast) {
   Graph graph(spec);
   const auto never = [] { return false; };
   const bench::WallTimer timer;
-  switch (strategy) {
-    case Strategy::kExact:
-      graph.sched.step_n(spec.cycles);
-      break;
-    case Strategy::kLegacySkip:
-      (void)graph.sched.run_until(never, spec.cycles,
-                                  /*skip_quiescent=*/true);
-      break;
-    case Strategy::kEventKernel:
-      (void)graph.sched.run_until_events(never, spec.cycles);
-      break;
-    case Strategy::kEventMacro:
-      (void)graph.sched.run_until_events(never, spec.cycles,
-                                         /*macro_steps=*/true);
-      break;
+  if (fast) {
+    (void)graph.sched.run_until(never, spec.cycles, /*skip_quiescent=*/true);
+  } else {
+    graph.sched.step_n(spec.cycles);
   }
   RunResult result;
   result.wall_ns = timer.elapsed_ns();
@@ -344,21 +321,20 @@ int run() {
   constexpr int kReps = 5;  // best-of-N: wall time is noisy, state is not
 
   bench::print_header(
-      "Simulation-kernel dispatch: exact vs skip vs event vs event+macro",
+      "Simulation-kernel dispatch: exact vs fast path",
       "(identical component state; host wall-clock per strategy, best of 5)");
-  std::printf("%-12s %11s %10s %10s %10s %10s %9s\n", "workload",
-              "work events", "exact ms", "legacy ms", "event ms", "macro ms",
-              "speedup");
-  bench::print_rule(78);
+  std::printf("%-12s %11s %10s %10s %9s\n", "workload", "work events",
+              "exact ms", "fast ms", "speedup");
+  bench::print_rule(56);
 
   for (const WorkloadSpec& spec : kWorkloads) {
     std::vector<std::vector<std::uint64_t>> samples(kNumStrategies);
-    std::uint64_t dispatches[kNumStrategies] = {0, 0, 0, 0};
+    std::uint64_t dispatches[kNumStrategies] = {0, 0};
     std::vector<std::uint64_t> reference;
     std::uint64_t work = 0;
     for (int rep = 0; rep < kReps; ++rep) {
       for (int s = 0; s < kNumStrategies; ++s) {
-        const RunResult r = run_workload(spec, kStrategies[s]);
+        const RunResult r = run_workload(spec, /*fast=*/s == 1);
         samples[s].push_back(r.wall_ns);
         dispatches[s] = r.dispatches;
         if (reference.empty()) {
@@ -376,13 +352,11 @@ int run() {
     WallStats stats[kNumStrategies];
     for (int s = 0; s < kNumStrategies; ++s) stats[s] = wall_stats(samples[s]);
     const double speedup = static_cast<double>(stats[0].min) /
-                           static_cast<double>(stats[3].min);
-    std::printf("%-12s %11llu %10.3f %10.3f %10.3f %10.3f %8.2fx\n",
-                spec.name, static_cast<unsigned long long>(work),
+                           static_cast<double>(stats[1].min);
+    std::printf("%-12s %11llu %10.3f %10.3f %8.2fx\n", spec.name,
+                static_cast<unsigned long long>(work),
                 static_cast<double>(stats[0].min) / 1e6,
-                static_cast<double>(stats[1].min) / 1e6,
-                static_cast<double>(stats[2].min) / 1e6,
-                static_cast<double>(stats[3].min) / 1e6, speedup);
+                static_cast<double>(stats[1].min) / 1e6, speedup);
 
     const std::string p = spec.name;
     // Deterministic keys (exact-gated): the simulated span, the work
@@ -391,10 +365,10 @@ int run() {
     report.metric(p + "_sim_cycles", static_cast<double>(spec.cycles));
     report.metric(p + "_work_events_sim_cycles",
                   static_cast<double>(work));
-    report.metric(p + "_event_dispatches_sim_cycles",
-                  static_cast<double>(dispatches[2]));
-    report.metric(p + "_macro_dispatches_sim_cycles",
-                  static_cast<double>(dispatches[3]));
+    report.metric(p + "_exact_dispatches_sim_cycles",
+                  static_cast<double>(dispatches[0]));
+    report.metric(p + "_fast_dispatches_sim_cycles",
+                  static_cast<double>(dispatches[1]));
     // Host wall-clock keys (informational, machine-dependent): minima,
     // medians and stddevs per strategy so a flapping CI number is
     // diagnosable from the report alone.
@@ -404,28 +378,25 @@ int run() {
       report.metric("host_" + stem + "_median", stats[s].median);
       report.metric("host_" + stem + "_stddev", stats[s].stddev);
     }
-    report.metric("host_wall_" + p + "_event_speedup",
-                  static_cast<double>(stats[0].min) /
-                      static_cast<double>(stats[2].min));
-    report.metric("host_wall_" + p + "_macro_speedup", speedup);
+    report.metric("host_wall_" + p + "_fast_speedup", speedup);
     report.metric("host_wall_" + p + "_events_per_sec",
                   static_cast<double>(work) /
-                      (static_cast<double>(stats[3].min) / 1e9));
+                      (static_cast<double>(stats[1].min) / 1e9));
     report.metric("host_wall_" + p + "_dispatch_ns_per_event",
-                  static_cast<double>(stats[3].min) /
+                  static_cast<double>(stats[1].min) /
                       static_cast<double>(std::max<std::uint64_t>(work, 1)));
 
     if (spec.macro_period > 0) {
-      // The steady-graph dispatch metric: with a component the event
-      // kernel must dispatch every cycle, compiled macro-steps must cut
-      // kernel dispatches per simulated cycle by at least 3x.
-      const double reduction = static_cast<double>(dispatches[2]) /
-                               static_cast<double>(dispatches[3]);
+      // The steady-graph dispatch metric: with a component exact stepping
+      // must dispatch every cycle, granted macro-steps must cut kernel
+      // dispatches per simulated cycle by at least 3x.
+      const double reduction = static_cast<double>(dispatches[0]) /
+                               static_cast<double>(dispatches[1]);
       report.metric(p + "_dispatch_reduction", reduction);
-      std::printf("%-12s event %llu dispatches -> macro %llu "
+      std::printf("%-12s exact %llu dispatches -> fast %llu "
                   "(%.1fx fewer per simulated cycle)\n",
-                  "", static_cast<unsigned long long>(dispatches[2]),
-                  static_cast<unsigned long long>(dispatches[3]), reduction);
+                  "", static_cast<unsigned long long>(dispatches[0]),
+                  static_cast<unsigned long long>(dispatches[1]), reduction);
       if (reduction < 3.0) {
         std::fprintf(stderr,
                      "FAIL: %s: macro-step dispatch reduction %.2fx < 3x\n",
@@ -434,12 +405,12 @@ int run() {
       }
     }
   }
-  bench::print_rule(78);
+  bench::print_rule(56);
 
   if (!report.write()) ok = false;
   if (ok) {
-    std::printf(
-        "OK: all four stepping strategies produced bit-identical state.\n");
+    std::printf("OK: both stepping strategies produced bit-identical "
+                "state.\n");
   }
   return ok ? 0 : 1;
 }

@@ -37,34 +37,6 @@ Accelerator::Accelerator(AcceleratorConfig cfg, mem::MainMemory& memory)
   // what the other components do.
   scheduler_.add(pmu_probe_.get(), /*needs_commit=*/false);
 
-  // Wakeup graph for the event kernel: an edge from every component whose
-  // non-quiet tick can invalidate another's quiet_for() report. Delays
-  // (same cycle vs next) fall out of the registration order above.
-  //  - DMA pushes the Input FIFO: the Extractor (earlier in order, sees it
-  //    next cycle) and the occupancy probe depend on it.
-  scheduler_.add_wakeup(dma_.get(), extractor_.get());
-  scheduler_.add_wakeup(dma_.get(), pmu_probe_.get());
-  //  - The Extractor pops the Input FIFO (DMA read stream un-stalls, probe
-  //    occupancy changes, both same cycle) and loads Aligners (visible to
-  //    each Aligner next cycle).
-  scheduler_.add_wakeup(extractor_.get(), dma_.get());
-  scheduler_.add_wakeup(extractor_.get(), pmu_probe_.get());
-  for (auto& aligner : aligners_) {
-    scheduler_.add_wakeup(extractor_.get(), aligner.get());
-    //  - An Aligner releases result transactions into its Collector-facing
-    //    queues (Collector is earlier: next cycle) and can go idle, which
-    //    un-blocks the Extractor's wait-for-aligner sleep (same cycle).
-    //    No Collector->Aligner edge is needed: an Aligner stalled on a
-    //    full queue reports quiet_for() == 0 and never sleeps through the
-    //    stall.
-    scheduler_.add_wakeup(aligner.get(), collector_.get());
-    scheduler_.add_wakeup(aligner.get(), extractor_.get());
-  }
-  //  - The Collector pushes the Output FIFO: the DMA write side drains it
-  //    the same cycle; the probe samples it.
-  scheduler_.add_wakeup(collector_.get(), dma_.get());
-  scheduler_.add_wakeup(collector_.get(), pmu_probe_.get());
-
   // Observability wiring: one trace track per unit plus a top-level run
   // track. The sink is enabled by config (or later at runtime); with it
   // off every emit site is a single pointer-and-flag test.
@@ -300,10 +272,6 @@ void Accelerator::abort_run(std::uint32_t cause) {
 }
 
 void Accelerator::flush_pipeline() {
-  // Mid-run flushes (abort paths) mutate component state outside any tick:
-  // settle pending lazy catch-ups against the pre-flush state first, and
-  // drop sleep schedules that the flush is about to invalidate.
-  scheduler_.resync_events();
   dma_->abort();
   input_fifo_.clear();
   output_fifo_.clear();
@@ -349,10 +317,9 @@ void Accelerator::step() {
     }
   }
   scheduler_.step();
-  post_cycle_checks();
-}
 
-void Accelerator::post_cycle_checks() {
+  // Post-tick checks: DMA bus error, uncorrectable ECC, work completion,
+  // watchdog.
   if (!running_) return;
   if (dma_->bus_error()) {
     abort_run(kErrDma);
@@ -392,91 +359,41 @@ std::uint64_t Accelerator::advance_core(std::uint64_t max_cycles,
                                         bool stop_when_idle,
                                         const std::function<bool()>* done) {
   std::uint64_t stepped = 0;
-  std::uint64_t stride = 1;
   // While running, the post-tick checks (bus error, completion, watchdog)
-  // must have validated the current state before a span may be skipped:
-  // none of their conditions can flip during a quiescent span, but one
+  // must have validated the current state before a span may be skipped or
+  // granted: none of their conditions can flip inside such a span, but one
   // could already hold at entry (e.g. an empty input set completes on the
   // very first step).
   bool checked = false;
   while (stepped < max_cycles) {
     if (stop_when_idle && !running_) break;
     if (done != nullptr && (*done)()) break;
-    if (!idle_skip_allowed() || (running_ && !checked)) {
-      // Exact per-cycle stepping: forced mode (injector / armed watchdog)
-      // or the not-yet-checked entry cycle. step_n inside flushes any
-      // armed event bookkeeping first, so mixing modes within one call
-      // (e.g. watchdog-armed run, then event-kernel idle burn) stays
-      // bit-identical.
-      step();
-      ++stepped;
-      checked = true;
-      continue;
-    }
-    if (cfg_.event_kernel) {
-      scheduler_.arm_events();
-      const sim::cycle_t next = scheduler_.next_event_cycle();
-      const sim::cycle_t now = scheduler_.now();
-      if (next > now) {
-        // Every component sleeps until `next` (or forever): bulk-advance.
-        // The skipped quiet cycles are accounted lazily at each
-        // component's next wake, or at the flush below.
-        const std::uint64_t span = std::min<std::uint64_t>(
-            next - now, max_cycles - stepped);
-        scheduler_.advance_to(now + span);
+    if (idle_skip_allowed() && (checked || !running_)) {
+      // One poll, then skip (nobody due) or grant (one due component owns
+      // the coming span). Neither span is externally visible, so the
+      // post-tick checks need not run inside it.
+      const sim::Scheduler::Poll poll = scheduler_.poll();
+      const std::uint64_t budget = max_cycles - stepped;
+      std::uint64_t span = 0;
+      if (poll.due == 0) {
+        span = std::min<std::uint64_t>(poll.horizon, budget);
+        scheduler_.skip(span);
+      } else if (poll.due == 1 && macro_step_allowed()) {
+        span = scheduler_.grant(poll, budget);
+      }
+      if (span > 0) {
         host_skipped_cycles_ += span;
         stepped += span;
         continue;
       }
-      if (macro_step_allowed()) {
-        // Steady-state macro-step: when the wakeup graph proves a single
-        // component owns the coming span, one fused call advances it. The
-        // span is externally invisible by the macro_step() contract, so
-        // none of the post-cycle check conditions (bus error, completion,
-        // watchdog — disarmed here by idle_skip_allowed()) can flip inside
-        // it; the boundary tick that follows runs through the normal
-        // run_event_cycle() + post_cycle_checks() path below.
-        const sim::cycle_t span =
-            scheduler_.try_macro_step(max_cycles - stepped);
-        if (span > 0) {
-          host_skipped_cycles_ += span;
-          stepped += span;
-          continue;
-        }
-      }
-      scheduler_.run_event_cycle();
-      post_cycle_checks();
-      ++stepped;
-      continue;
     }
-    const sim::cycle_t quiet = scheduler_.quiescent_cycles();
-    if (quiet > 0) {
-      const std::uint64_t span =
-          std::min<std::uint64_t>(quiet, max_cycles - stepped);
-      scheduler_.skip(span);
-      host_skipped_cycles_ += span;
-      stepped += span;
-      stride = 1;
-      continue;
-    }
-    // Non-quiescent boundary: replay exactly. Consecutive failed probes
-    // widen the replay burst (up to 64 cycles) so boundary-dense phases
-    // are not dominated by quiescence probing; a burst only delays the
-    // next skip opportunity, never changes what is simulated.
-    std::uint64_t burst = std::min<std::uint64_t>(stride, max_cycles - stepped);
-    for (; burst > 0; --burst) {
-      step();
-      ++stepped;
-      checked = true;
-      if (stop_when_idle && !running_) break;
-      if (done != nullptr && (*done)()) break;
-    }
-    if (burst > 0) break;  // inner early-stop
-    if (stride < 64) stride *= 2;
+    // Exact step: forced mode (injector / armed watchdog), the
+    // not-yet-checked entry cycle, two or more components due, or a
+    // declined grant.
+    step();
+    ++stepped;
+    checked = true;
   }
-  // External observers (register reads, PMU snapshots, test introspection)
-  // must see fully-synced component state between advance calls.
-  scheduler_.flush_events();
   return stepped;
 }
 
@@ -525,10 +442,10 @@ enum SnapshotSection : std::uint32_t {
 
 /// The structural-configuration signature: every AcceleratorConfig field
 /// that shapes architectural state, written field by field so a mismatch
-/// is detected before any device state is touched. Stepping-strategy knobs
-/// (idle_skip / event_kernel / macro_step) and trace are deliberately
-/// excluded — they never change architectural state, and excluding them is
-/// what lets a checkpoint taken under one strategy resume under another.
+/// is detected before any device state is touched. The stepping knob
+/// (idle_skip) and trace are deliberately excluded — they never change
+/// architectural state, and excluding them is what lets a checkpoint taken
+/// under exact stepping resume under the fast path and vice versa.
 void save_config_signature(sim::SnapshotWriter& w,
                            const AcceleratorConfig& cfg,
                            std::uint64_t memory_bytes) {
@@ -623,9 +540,6 @@ void restore_fifo(sim::SnapshotReader& r,
 }  // namespace
 
 std::vector<std::uint8_t> Accelerator::snapshot() const {
-  WFASIC_REQUIRE(!scheduler_.events_armed(),
-                 "Accelerator::snapshot: not at a safe point (event "
-                 "bookkeeping is armed)");
   sim::SnapshotWriter w(kSnapshotMagic, kSnapshotVersion);
   save_config_signature(w, cfg_, memory_.size());
 
@@ -703,7 +617,6 @@ std::optional<sim::SnapshotError> Accelerator::restore(
     (void)r.fail(sim::SnapshotError::kConfigMismatch);
     return r.error();
   }
-  scheduler_.flush_events();  // snapshot() REQUIREs; restore tolerates
 
   (void)r.section(kSecScheduler);
   const sim::cycle_t now = r.u64();

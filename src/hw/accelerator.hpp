@@ -95,11 +95,11 @@ class Accelerator {
   /// clock, register file, run state, PMU baselines, FIFOs, DMA,
   /// Extractor, Aligners (wavefront RAM contents included), Collector and
   /// the main-memory working set — into a versioned, CRC-protected blob.
-  /// Only legal at a safe point: between advance calls (every public
-  /// stepping entry point flushes event bookkeeping on exit), which is
-  /// where drv/engine checkpointing calls it. Restoring the blob onto a
-  /// structurally identical device resumes bit-identically under every
-  /// stepping strategy (docs/RELIABILITY.md §7).
+  /// Only legal at a safe point: between advance calls, which is where
+  /// drv/engine checkpointing calls it. Restoring the blob onto a
+  /// structurally identical device resumes bit-identically under either
+  /// stepping strategy — exact or the fast path — whichever the blob was
+  /// saved under (docs/RELIABILITY.md §7).
   [[nodiscard]] std::vector<std::uint8_t> snapshot() const;
 
   /// Applies a snapshot blob. Header, CRC, version and config-signature
@@ -133,11 +133,11 @@ class Accelerator {
   std::uint64_t run_to_completion(std::uint64_t max_cycles = 4'000'000'000ULL);
   /// Advances until `done()` returns true or `max_cycles` elapse, and
   /// returns the cycles advanced. The predicate is evaluated wherever
-  /// simulated state can change — after every active cycle and around
-  /// bulk-advanced quiet spans — against fully-synced component state, so
-  /// the stop cycle is bit-identical to checking after every step(). This
-  /// is the driver wait-loop primitive: under the event kernel a wait
-  /// costs O(events), not O(cycles).
+  /// externally-visible state can change — after every exactly-stepped
+  /// cycle and at the end of every skipped or granted span — so the stop
+  /// cycle is bit-identical to checking after every step(). This is the
+  /// driver wait-loop primitive: on the fast path a wait costs one poll
+  /// per skipped or granted span, not one step per cycle.
   std::uint64_t run_until_event(const std::function<bool()>& done,
                                 std::uint64_t max_cycles);
 
@@ -224,35 +224,27 @@ class Accelerator {
   /// True when a stepping fast path may replace exact stepping: never
   /// with a fault injector attached (per-cycle beat faults, memory flips
   /// and FIFO stall probes need every cycle), never while a run has the
-  /// no-progress watchdog armed (its firing cycle must stay exact). Which
-  /// fast path — event kernel or legacy quiescence skip — is then chosen
-  /// by AcceleratorConfig::event_kernel.
+  /// no-progress watchdog armed (its firing cycle must stay exact).
   [[nodiscard]] bool idle_skip_allowed() const {
     return cfg_.idle_skip && injector_ == nullptr &&
            !(running_ && regs_.watchdog != 0);
   }
-  /// Steady-state predicate for compiled macro-steps, evaluated at every
-  /// event-branch iteration so demotion to per-cycle stepping happens the
-  /// exact cycle a disqualifier appears: everything idle_skip_allowed()
-  /// requires (no fault injector — it needs every cycle for beat faults
-  /// and stall probes — and no armed watchdog, whose firing cycle must
-  /// stay exact), plus no ECC/CRC checking active (an uncorrectable-upset
-  /// poison must be handled on its own tick, and CRC-protected streams
-  /// keep the Extractor/Collector checking per beat).
+  /// Veto on compiled macro-step grants, checked on top of
+  /// idle_skip_allowed() at every fast-path iteration so demotion to
+  /// per-cycle stepping happens the exact cycle a disqualifier appears: no
+  /// ECC/CRC checking active (an uncorrectable-upset poison must be
+  /// handled on its own tick, and CRC-protected streams keep the
+  /// Extractor/Collector checking per beat).
   [[nodiscard]] bool macro_step_allowed() const {
-    return cfg_.macro_step && !cfg_.ecc && !cfg_.crc;
+    return !cfg_.ecc && !cfg_.crc;
   }
-  /// step()'s post-tick checks (DMA bus error, uncorrectable ECC, work
-  /// completion, watchdog), shared with the event-kernel cycle path.
-  void post_cycle_checks();
-  /// Shared fast-path loop behind step_many/advance/run_to_completion/
-  /// run_until_event. Under the event kernel: evaluates only due
-  /// components at active cycles and bulk-advances between events. Under
-  /// the legacy kernel: skips system-wide quiescent spans, replays
-  /// boundary cycles exactly via step(), and re-probes quiescence on a
-  /// coarser grid (doubling stride, capped) after failed probes. Exact
-  /// per-cycle stepping whenever no fast path is allowed. `done`, when
-  /// non-null, is an additional stop predicate checked wherever simulated
+  /// Shared stepping loop behind step_many/advance/run_to_completion/
+  /// run_until_event. Where the fast path is allowed, each iteration
+  /// polls every component once (Scheduler::poll) and then skips a
+  /// system-wide quiet span, grants a macro-step to the single due
+  /// component, or falls back to one exact step(). Exact per-cycle
+  /// stepping whenever no fast path is allowed. `done`, when non-null, is
+  /// an additional stop predicate checked wherever externally-visible
   /// state can change.
   std::uint64_t advance_core(std::uint64_t max_cycles, bool stop_when_idle,
                              const std::function<bool()>* done = nullptr);

@@ -132,9 +132,9 @@ class Aligner final : public sim::Component {
   // batch with observable consequences, or runs step_score() is a
   // boundary and reports 0. Finite reports depend only on this Aligner's
   // own schedule, so they cannot be invalidated early; kIdle/kLoading
-  // sleeps end only via the Extractor's dispatch, a declared wakeup edge.
-  // A stall on a full Collector-facing queue reports 0 (not forever), so
-  // no Collector->Aligner edge is needed.
+  // sleeps end only via the Extractor's dispatch, a non-quiet Extractor
+  // tick. A stall on a full Collector-facing queue reports 0 (not
+  // forever), so the Collector's pops never end a quiet span early.
   [[nodiscard]] sim::cycle_t quiet_for(sim::cycle_t now) const override;
   void skip_quiet(sim::cycle_t n) override;
 

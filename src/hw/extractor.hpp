@@ -176,12 +176,12 @@ class Extractor final : public sim::Component {
 
   // Quiescence contract (see sim::Component): the Extractor has no
   // self-scheduled events — it is driven entirely by Input-FIFO pushes
-  // (DMA) and Aligners going idle, both of which are non-quiet boundaries
-  // of their own components and both declared as wakeup edges in the
-  // event kernel, so a kQuietForever report here is safe: nothing can
-  // make this component non-quiet without waking it first. The only
-  // per-cycle effect while waiting for an Aligner is the wait counter,
-  // bulk-applied by skip_quiet.
+  // (DMA) and Aligners going idle, both of which are non-quiet,
+  // externally-visible boundaries of their own components, so a
+  // kQuietForever report here is safe: nothing can make this component
+  // non-quiet without such a tick, after which it is polled again. The
+  // only per-cycle effect while waiting for an Aligner is the wait
+  // counter, bulk-applied by skip_quiet.
   [[nodiscard]] sim::cycle_t quiet_for(sim::cycle_t /*now*/) const override {
     if (done() || fifo_.empty()) return kQuietForever;
     if (!in_pair_ && find_idle_aligner() == nullptr) return kQuietForever;

@@ -6,10 +6,10 @@
 //     to an uninterrupted run — simulated cycle count, error state, the
 //     full PMU bank (all counters except the host-side
 //     host_idle_skipped_cycles diagnostic) and the complete output memory
-//     image — under all four stepping strategies (exact / legacy-skip /
-//     event-kernel / event-macro), across strategies (a blob saved under
-//     one strategy resumed under another), and mid-fault-campaign with the
-//     injector runtime carried through a kStrict restore.
+//     image — under both stepping strategies (exact / fast), across
+//     strategies (a blob saved under one strategy resumed under the
+//     other), and mid-fault-campaign with the injector runtime carried
+//     through a kStrict restore.
 //
 //  2. Blob hardening: corrupted, truncated, version-skewed, config-skewed
 //     and garbage blobs must be rejected with the right typed
@@ -55,30 +55,20 @@ std::vector<gen::SequencePair> make_pairs(std::uint64_t seed,
   return pairs;
 }
 
-/// Same four-strategy matrix as tests/test_perf_equivalence.cpp: every
-/// checkpoint property must hold under every stepping kernel.
-enum class StepStrategy { kExact, kLegacySkip, kEventKernel, kEventMacro };
+/// Same two strategies as tests/test_perf_equivalence.cpp: every
+/// checkpoint property must hold under exact stepping and the fast path.
+enum class StepStrategy { kExact, kFast };
 
-constexpr StepStrategy kAllStrategies[] = {
-    StepStrategy::kExact, StepStrategy::kLegacySkip,
-    StepStrategy::kEventKernel, StepStrategy::kEventMacro};
+constexpr StepStrategy kAllStrategies[] = {StepStrategy::kExact,
+                                           StepStrategy::kFast};
 
 const char* strategy_name(StepStrategy s) {
-  switch (s) {
-    case StepStrategy::kExact: return "exact";
-    case StepStrategy::kLegacySkip: return "legacy-skip";
-    case StepStrategy::kEventKernel: return "event-kernel";
-    case StepStrategy::kEventMacro: return "event-macro";
-  }
-  return "?";
+  return s == StepStrategy::kExact ? "exact" : "fast";
 }
 
 hw::AcceleratorConfig make_cfg(StepStrategy s) {
   hw::AcceleratorConfig cfg;
-  cfg.idle_skip = s != StepStrategy::kExact;
-  cfg.event_kernel =
-      s == StepStrategy::kEventKernel || s == StepStrategy::kEventMacro;
-  cfg.macro_step = s == StepStrategy::kEventMacro;
+  cfg.idle_skip = s == StepStrategy::kFast;
   return cfg;
 }
 
@@ -197,25 +187,29 @@ TEST(CheckpointEquivalence, MidRunRestoreResumesBitIdentical) {
 }
 
 TEST(CheckpointEquivalence, CrossStrategyRestoreBitIdentical) {
-  // The config signature deliberately excludes the stepping-strategy
-  // knobs: a checkpoint taken under one strategy must resume under any
-  // other, still bit-identical to the exact-stepping reference.
+  // The config signature deliberately excludes the stepping knob: a
+  // checkpoint taken under one strategy must resume under the other,
+  // still bit-identical to the exact-stepping reference. NBT runs
+  // exercise macro-step grants on either side of the snapshot; BT runs
+  // exercise skips only (the Aligner declines grants with backtrace on).
   const auto pairs = make_pairs(921, 4, 120, 0.08);
-  const Observation ref =
-      reference_run(pairs, /*backtrace=*/true, StepStrategy::kExact);
-  for (const StepStrategy save_s : kAllStrategies) {
-    Device src(save_s);
-    launch(src, pairs, true);
-    src.accel.advance(ref.final_now / 2);
-    ASSERT_FALSE(src.accel.idle());
-    const std::vector<std::uint8_t> blob = src.accel.snapshot();
-    for (const StepStrategy resume_s : kAllStrategies) {
-      Device dst(resume_s);
-      ASSERT_EQ(dst.accel.restore(blob), std::nullopt);
-      (void)dst.driver.wait_idle();
-      EXPECT_EQ(ref, observe(dst))
-          << "saved under " << strategy_name(save_s) << ", resumed under "
-          << strategy_name(resume_s);
+  for (const bool backtrace : {false, true}) {
+    const Observation ref =
+        reference_run(pairs, backtrace, StepStrategy::kExact);
+    for (const StepStrategy save_s : kAllStrategies) {
+      Device src(save_s);
+      launch(src, pairs, backtrace);
+      src.accel.advance(ref.final_now / 2);
+      ASSERT_FALSE(src.accel.idle());
+      const std::vector<std::uint8_t> blob = src.accel.snapshot();
+      for (const StepStrategy resume_s : kAllStrategies) {
+        Device dst(resume_s);
+        ASSERT_EQ(dst.accel.restore(blob), std::nullopt);
+        (void)dst.driver.wait_idle();
+        EXPECT_EQ(ref, observe(dst))
+            << "saved under " << strategy_name(save_s) << ", resumed under "
+            << strategy_name(resume_s) << ", bt=" << backtrace;
+      }
     }
   }
 }
@@ -296,12 +290,12 @@ TEST(CheckpointEquivalence, IdleRoundTripBlobStable) {
   // for byte: the dirty working set, every component section and the
   // register file all survive the round trip exactly.
   const auto pairs = make_pairs(951, 4, 110, 0.05);
-  Device src(StepStrategy::kEventMacro);
+  Device src(StepStrategy::kFast);
   launch(src, pairs, false);
   (void)src.driver.wait_idle();
   const std::vector<std::uint8_t> blob = src.accel.snapshot();
 
-  Device dst(StepStrategy::kEventMacro);
+  Device dst(StepStrategy::kFast);
   ASSERT_EQ(dst.accel.restore(blob), std::nullopt);
   EXPECT_EQ(blob, dst.accel.snapshot());
 }
@@ -458,12 +452,12 @@ TEST(SnapshotFuzz, RejectedRestoreLeavesMidRunTargetUntouched) {
   // to a never-interfered-with reference.
   const auto pairs = make_pairs(991, 4, 120, 0.07);
   const Observation ref =
-      reference_run(pairs, /*backtrace=*/true, StepStrategy::kEventMacro);
+      reference_run(pairs, /*backtrace=*/true, StepStrategy::kFast);
 
   std::vector<std::uint8_t> bad = make_fuzz_blob();
   bad[bad.size() / 2] ^= 0x40;
 
-  Device d(StepStrategy::kEventMacro);
+  Device d(StepStrategy::kFast);
   launch(d, pairs, true);
   d.accel.advance(ref.final_now / 2);
   ASSERT_FALSE(d.accel.idle());

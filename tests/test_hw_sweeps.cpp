@@ -96,9 +96,13 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(Penalties{2, 3, 1}, Penalties{1, 4, 2},
                     Penalties{6, 2, 1}, Penalties{5, 10, 3}),
     [](const testing::TestParamInfo<Penalties>& info) {
-      return "x" + std::to_string(info.param.mismatch) + "o" +
-             std::to_string(info.param.gap_open) + "e" +
-             std::to_string(info.param.gap_extend);
+      std::string name = "x";
+      name += std::to_string(info.param.mismatch);
+      name += "o";
+      name += std::to_string(info.param.gap_open);
+      name += "e";
+      name += std::to_string(info.param.gap_extend);
+      return name;
     });
 
 TEST(AcceleratorInvariants, PhaseCyclesAccountedPerBatch) {

@@ -1,10 +1,12 @@
-// Tests for the event-driven simulation kernel (sim/scheduler.hpp): the
-// self-scheduling contract (next_activation/on_wake), the wakeup graph,
-// and bulk-advance between events. The load-bearing property is
-// bit-identity: any component graph honoring the quiescence contract must
-// produce exactly the same state and timeline under run_until_events() as
-// under exact per-cycle stepping. Also covers the kernel-hardening
-// regressions: duplicate registration and skip() overflow are rejected.
+// Tests for the simulation kernel's fast path (sim/scheduler.hpp): one
+// quiescence poll per iteration, then a bulk skip, a macro-step grant to
+// the single due component, or one exact step. The load-bearing property
+// is bit-identity: any component graph honoring the quiescence and
+// macro-step contracts must produce exactly the same state and timeline
+// under run_until(..., skip_quiescent = true) as under exact per-cycle
+// stepping. Also covers the grant rule itself (poll result, budget,
+// neighbour catch-up, overrun) and the kernel-hardening regressions:
+// duplicate registration and skip() overflow are rejected.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,8 +28,8 @@ namespace wfasic::sim {
 namespace {
 
 /// Emits one token to a downstream queue every `period` cycles, starting
-/// at cycle `phase`. Quiet in between (pure countdown), so the event
-/// kernel sleeps it through the gaps.
+/// at cycle `phase`. Quiet in between (pure countdown), so the fast path
+/// skips it through the gaps.
 class PulseSource final : public Component {
  public:
   PulseSource(std::string name, cycle_t period, cycle_t phase,
@@ -63,7 +65,7 @@ class PulseSource final : public Component {
 /// Pops one token per cycle from its input queue; optionally forwards it
 /// downstream. Records the cycle of every pop — an order- and
 /// timing-sensitive trace that any stepping bug would perturb. Idle
-/// (kQuietForever) on an empty queue: it relies entirely on wakeup edges.
+/// (kQuietForever) on an empty queue: only a producer's push ends that.
 class Relay final : public Component {
  public:
   Relay(std::string name, std::deque<cycle_t>* in, std::deque<cycle_t>* out)
@@ -134,259 +136,40 @@ class OrderProbe final : public Component {
   std::vector<std::pair<cycle_t, int>>* log_;
 };
 
-bool never() { return false; }
+/// A neighbour that records every bulk update it receives. Quiet for a
+/// countdown of `period` cycles, then due for one tick that restarts it —
+/// or, with kQuietForever, quiet forever.
+class SkipRecorder final : public Component {
+ public:
+  SkipRecorder(std::string name, cycle_t period)
+      : Component(std::move(name)), period_(period), countdown_(period) {}
 
-// ---------------------------------------------------------------------------
-// Kernel hardening (satellite regressions).
-// ---------------------------------------------------------------------------
-
-TEST(SchedulerHardening, DuplicateAddAborts) {
-  Scheduler sched;
-  std::deque<cycle_t> q;
-  PulseSource src("src", 4, 0, &q);
-  sched.add(&src);
-  EXPECT_DEATH(sched.add(&src), "already registered");
-}
-
-TEST(SchedulerHardening, SkipOverflowAborts) {
-  Scheduler sched;
-  std::deque<cycle_t> q;
-  Relay idle("idle", &q, nullptr);
-  sched.add(&idle);
-  // The whole system is forever-quiet; a caller must never turn that
-  // into a concrete kQuietForever-sized skip.
-  EXPECT_EQ(sched.quiescent_cycles(), Component::kQuietForever);
-  EXPECT_DEATH(sched.skip(Component::kQuietForever), "overflow");
-  // A large but representable span is fine.
-  sched.skip(1u << 20);
-  EXPECT_EQ(sched.now(), 1u << 20);
-}
-
-// ---------------------------------------------------------------------------
-// Event-ordering determinism.
-// ---------------------------------------------------------------------------
-
-TEST(EventKernel, SameCycleEventsRunInRegistrationOrder) {
-  // Probes with different periods collide on various cycles; whenever
-  // several are due in the same cycle, the event kernel must evaluate
-  // them in registration order — exactly like the per-cycle loop.
-  auto run = [](bool event_kernel) {
-    Scheduler sched;
-    std::vector<std::pair<cycle_t, int>> log;
-    OrderProbe p2("p2", 2, 2, &log);
-    OrderProbe p3("p3", 3, 3, &log);
-    OrderProbe p5("p5", 5, 5, &log);
-    sched.add(&p2, /*needs_commit=*/false);
-    sched.add(&p3, /*needs_commit=*/false);
-    sched.add(&p5, /*needs_commit=*/false);
-    if (event_kernel) {
-      const RunUntilResult r = sched.run_until_events(never, 61);
-      EXPECT_TRUE(r.timed_out());
-    } else {
-      sched.step_n(61);
-    }
-    EXPECT_EQ(sched.now(), 61u);
-    return log;
-  };
-  const auto exact = run(false);
-  const auto event = run(true);
-  EXPECT_EQ(exact, event);
-  // Sanity: cycle 30 is a 2/3/5 collision; registration order must hold.
-  const std::vector<std::pair<cycle_t, int>> expect_c30 = {
-      {30, 2}, {30, 3}, {30, 5}};
-  std::vector<std::pair<cycle_t, int>> got_c30;
-  for (const auto& e : event) {
-    if (e.first == 30) got_c30.push_back(e);
+  void tick(cycle_t /*now*/) override {
+    if (countdown_ == kQuietForever) return;
+    countdown_ = countdown_ > 0 ? countdown_ - 1 : period_ - 1;
   }
-  EXPECT_EQ(got_c30, expect_c30);
-}
-
-// ---------------------------------------------------------------------------
-// Wakeup-edge correctness.
-// ---------------------------------------------------------------------------
-
-TEST(EventKernel, ForwardEdgeDeliversSameCycle) {
-  // Producer registered before consumer: per-cycle stepping ticks the
-  // consumer after the producer, so a push at cycle t is popped at t.
-  // The event kernel must reproduce that via a delay-0 wake.
-  Scheduler sched;
-  std::deque<cycle_t> q;
-  PulseSource src("src", 10, 3, &q);
-  Relay sink("sink", &q, nullptr);
-  sched.add(&src, /*needs_commit=*/false);
-  sched.add(&sink, /*needs_commit=*/false);
-  sched.add_wakeup(&src, &sink);
-  const RunUntilResult r = sched.run_until_events(never, 25);
-  EXPECT_TRUE(r.timed_out());
-  EXPECT_EQ(sink.pop_cycles(), (std::vector<cycle_t>{3, 13, 23}));
-  // The skipped idle cycles were all accounted by lazy catch-up.
-  EXPECT_EQ(sink.popped() + sink.idle_cycles(), 25u);
-}
-
-TEST(EventKernel, BackwardEdgeDeliversNextCycle) {
-  // Consumer registered before producer: the consumer's cycle-t tick
-  // already ran when the producer pushes at t, so the pop lands at t+1.
-  // The event kernel must reproduce that via a delay-1 wake.
-  Scheduler sched;
-  std::deque<cycle_t> q;
-  Relay sink("sink", &q, nullptr);
-  PulseSource src("src", 10, 3, &q);
-  sched.add(&sink, /*needs_commit=*/false);
-  sched.add(&src, /*needs_commit=*/false);
-  sched.add_wakeup(&src, &sink);
-  const RunUntilResult r = sched.run_until_events(never, 25);
-  EXPECT_TRUE(r.timed_out());
-  EXPECT_EQ(sink.pop_cycles(), (std::vector<cycle_t>{4, 14, 24}));
-}
-
-TEST(EventKernel, SelfEdgeRejected) {
-  Scheduler sched;
-  std::deque<cycle_t> q;
-  Relay sink("sink", &q, nullptr);
-  sched.add(&sink);
-  EXPECT_DEATH(sched.add_wakeup(&sink, &sink), "self edge");
-}
-
-// ---------------------------------------------------------------------------
-// Randomized-graph bit-identity.
-// ---------------------------------------------------------------------------
-
-/// A randomized pipeline: `n_src` pulse sources with random periods and
-/// phases feed a chain of relays; edges are declared in whatever direction
-/// registration order dictates, so both delay-0 and delay-1 wakes occur.
-struct RandomGraph {
-  Scheduler sched;
-  std::vector<std::unique_ptr<std::deque<cycle_t>>> queues;
-  std::vector<std::unique_ptr<PulseSource>> sources;
-  std::vector<std::unique_ptr<Relay>> relays;
-
-  RandomGraph(std::uint64_t seed, bool relays_first) {
-    Prng prng(seed);
-    const std::size_t n_src = 1 + prng.next_below(3);
-    const std::size_t n_relay = 1 + prng.next_below(4);
-    // Chain queue i feeds relay i; relay i forwards into queue i+1.
-    for (std::size_t i = 0; i <= n_relay; ++i) {
-      queues.push_back(std::make_unique<std::deque<cycle_t>>());
-    }
-    for (std::size_t i = 0; i < n_relay; ++i) {
-      relays.push_back(std::make_unique<Relay>(
-          "relay" + std::to_string(i), queues[i].get(),
-          i + 1 < n_relay ? queues[i + 1].get() : nullptr));
-    }
-    for (std::size_t i = 0; i < n_src; ++i) {
-      sources.push_back(std::make_unique<PulseSource>(
-          "src" + std::to_string(i), 2 + prng.next_below(9),
-          prng.next_below(7), queues[0].get()));
-    }
-    // Registration order decides wake delays; exercise both layouts.
-    if (relays_first) {
-      for (auto& r : relays) sched.add(r.get(), /*needs_commit=*/false);
-      for (auto& s : sources) sched.add(s.get(), /*needs_commit=*/false);
-    } else {
-      for (auto& s : sources) sched.add(s.get(), /*needs_commit=*/false);
-      for (auto& r : relays) sched.add(r.get(), /*needs_commit=*/false);
-    }
-    for (auto& s : sources) sched.add_wakeup(s.get(), relays[0].get());
-    for (std::size_t i = 0; i + 1 < n_relay; ++i) {
-      sched.add_wakeup(relays[i].get(), relays[i + 1].get());
-    }
+  [[nodiscard]] cycle_t quiet_for(cycle_t /*now*/) const override {
+    return countdown_;
+  }
+  void skip_quiet(cycle_t n) override {
+    skips_.push_back(n);
+    if (countdown_ != kQuietForever) countdown_ -= n;
   }
 
-  /// Everything observable: per-relay pop traces, signatures, counters.
-  [[nodiscard]] std::vector<std::uint64_t> observation() const {
-    std::vector<std::uint64_t> obs{sched.now()};
-    for (const auto& s : sources) obs.push_back(s->pulses());
-    for (const auto& r : relays) {
-      obs.push_back(r->popped());
-      obs.push_back(r->signature());
-      obs.push_back(r->idle_cycles());
-      for (const cycle_t c : r->pop_cycles()) obs.push_back(c);
-    }
-    return obs;
-  }
+  [[nodiscard]] const std::vector<cycle_t>& skips() const { return skips_; }
+
+ private:
+  cycle_t period_;
+  cycle_t countdown_;
+  std::vector<cycle_t> skips_;
 };
-
-TEST(EventKernel, RandomizedGraphsBitIdenticalToExactStepping) {
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    for (const bool relays_first : {false, true}) {
-      RandomGraph exact(seed, relays_first);
-      RandomGraph event(seed, relays_first);
-      exact.sched.step_n(400);
-      const RunUntilResult r = event.sched.run_until_events(never, 400);
-      EXPECT_TRUE(r.timed_out());
-      EXPECT_EQ(exact.observation(), event.observation())
-          << "seed " << seed << ", relays_first " << relays_first;
-    }
-  }
-}
-
-TEST(EventKernel, MixedSteppingResynchronizes) {
-  // Interleave exact stepping, event runs and bulk skips on one
-  // scheduler; every transition must flush/resync so the mix stays
-  // bit-identical to pure exact stepping.
-  RandomGraph exact(99, false);
-  RandomGraph mixed(99, false);
-  exact.sched.step_n(300);
-  mixed.sched.step_n(37);
-  (void)mixed.sched.run_until_events(never, 120);
-  mixed.sched.step_n(11);
-  (void)mixed.sched.run_until_events(never, 300);
-  EXPECT_EQ(exact.observation(), mixed.observation());
-}
-
-// ---------------------------------------------------------------------------
-// run_until parity: stop cycles and typed timeouts.
-// ---------------------------------------------------------------------------
-
-TEST(EventKernel, PredicateStopCycleMatchesExactStepping) {
-  auto run = [](bool event_kernel) {
-    Scheduler sched;
-    std::deque<cycle_t> q;
-    PulseSource src("src", 7, 2, &q);
-    Relay sink("sink", &q, nullptr);
-    sched.add(&src, /*needs_commit=*/false);
-    sched.add(&sink, /*needs_commit=*/false);
-    sched.add_wakeup(&src, &sink);
-    const auto done = [&] { return sink.popped() >= 4; };
-    const RunUntilResult r = event_kernel
-                                 ? sched.run_until_events(done, 1'000)
-                                 : sched.run_until(done, 1'000);
-    EXPECT_FALSE(r.timed_out());
-    return r.now;
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-TEST(EventKernel, TimeoutParityOnDeadlock) {
-  // A forever-idle system: exact stepping burns every cycle to the
-  // deadline; the event kernel bulk-advances straight to it. Both must
-  // report the same typed timeout at the same cycle — and never abort.
-  auto run = [](bool event_kernel) {
-    Scheduler sched;
-    std::deque<cycle_t> q;
-    Relay sink("sink", &q, nullptr);
-    sched.add(&sink, /*needs_commit=*/false);
-    const RunUntilResult r = event_kernel
-                                 ? sched.run_until_events(never, 5'000)
-                                 : sched.run_until(never, 5'000);
-    EXPECT_TRUE(r.timed_out());
-    EXPECT_EQ(sink.idle_cycles(), 5'000u);
-    return r.now;
-  };
-  EXPECT_EQ(run(false), run(true));
-  EXPECT_EQ(run(true), 5'000u);
-}
-
-// ---------------------------------------------------------------------------
-// Compiled macro-steps: steady-state detection, grant-rule edges, demotion.
-// ---------------------------------------------------------------------------
 
 /// A macro-capable source mirroring bench/sim_kernel's MacroSource: the
 /// per-cycle work is an xorshift state update (data dependent, never
 /// quiet), with an externally-visible emit every `period` cycles.
 /// macro_step() fuses the emit-free prefix of the granted span and
 /// records every budget the scheduler granted, so tests can check the
-/// grant rule capped spans at the neighbor horizon. `overrun` makes it a
+/// grant rule capped spans at the neighbour horizon. `overrun` makes it a
 /// hostile component that claims one cycle more than its budget — the
 /// scheduler must abort rather than let simulated time diverge.
 class FusedSource final : public Component {
@@ -446,10 +229,202 @@ class FusedSource final : public Component {
   std::vector<cycle_t> budgets_;
 };
 
+bool never() { return false; }
+
+// ---------------------------------------------------------------------------
+// Kernel hardening (satellite regressions).
+// ---------------------------------------------------------------------------
+
+TEST(SchedulerHardening, DuplicateAddAborts) {
+  Scheduler sched;
+  std::deque<cycle_t> q;
+  PulseSource src("src", 4, 0, &q);
+  sched.add(&src);
+  EXPECT_DEATH(sched.add(&src), "already registered");
+}
+
+TEST(SchedulerHardening, SkipOverflowAborts) {
+  Scheduler sched;
+  std::deque<cycle_t> q;
+  Relay idle("idle", &q, nullptr);
+  sched.add(&idle);
+  // The whole system is forever-quiet; a caller must never turn that
+  // into a concrete kQuietForever-sized skip.
+  EXPECT_EQ(sched.quiescent_cycles(), Component::kQuietForever);
+  EXPECT_DEATH(sched.skip(Component::kQuietForever), "overflow");
+  // A large but representable span is fine.
+  sched.skip(1u << 20);
+  EXPECT_EQ(sched.now(), 1u << 20);
+}
+
+// ---------------------------------------------------------------------------
+// Event-ordering determinism under the fast path.
+// ---------------------------------------------------------------------------
+
+TEST(EventKernel, SameCycleEventsRunInRegistrationOrder) {
+  // Probes with different periods collide on various cycles; whenever
+  // several are due in the same cycle, the fast path must tick them in
+  // registration order — exactly like the per-cycle loop.
+  auto run = [](bool fast) {
+    Scheduler sched;
+    std::vector<std::pair<cycle_t, int>> log;
+    OrderProbe p2("p2", 2, 2, &log);
+    OrderProbe p3("p3", 3, 3, &log);
+    OrderProbe p5("p5", 5, 5, &log);
+    sched.add(&p2, /*needs_commit=*/false);
+    sched.add(&p3, /*needs_commit=*/false);
+    sched.add(&p5, /*needs_commit=*/false);
+    if (fast) {
+      const RunUntilResult r =
+          sched.run_until(never, 61, /*skip_quiescent=*/true);
+      EXPECT_TRUE(r.timed_out());
+    } else {
+      sched.step_n(61);
+    }
+    EXPECT_EQ(sched.now(), 61u);
+    return log;
+  };
+  const auto exact = run(false);
+  const auto fast = run(true);
+  EXPECT_EQ(exact, fast);
+  // Sanity: cycle 30 is a 2/3/5 collision; registration order must hold.
+  const std::vector<std::pair<cycle_t, int>> expect_c30 = {
+      {30, 2}, {30, 3}, {30, 5}};
+  std::vector<std::pair<cycle_t, int>> got_c30;
+  for (const auto& e : fast) {
+    if (e.first == 30) got_c30.push_back(e);
+  }
+  EXPECT_EQ(got_c30, expect_c30);
+}
+
+// ---------------------------------------------------------------------------
+// Randomized-graph bit-identity.
+// ---------------------------------------------------------------------------
+
+/// A randomized pipeline: `n_src` pulse sources with random periods and
+/// phases, plus `n_fused` macro-capable sources, feed a chain of relays.
+/// Both registration layouts are exercised, so a push reaches a relay in
+/// the same cycle (producer registered first) or the next (relay first).
+struct RandomGraph {
+  Scheduler sched;
+  std::vector<std::unique_ptr<std::deque<cycle_t>>> queues;
+  std::vector<std::unique_ptr<PulseSource>> sources;
+  std::vector<std::unique_ptr<FusedSource>> fused;
+  std::vector<std::unique_ptr<Relay>> relays;
+
+  RandomGraph(std::uint64_t seed, bool relays_first, bool with_fused = false) {
+    Prng prng(seed);
+    const std::size_t n_src = 1 + prng.next_below(3);
+    const std::size_t n_relay = 1 + prng.next_below(4);
+    const std::size_t n_fused = with_fused ? 1 + prng.next_below(2) : 0;
+    // Chain queue i feeds relay i; relay i forwards into queue i+1.
+    for (std::size_t i = 0; i <= n_relay; ++i) {
+      queues.push_back(std::make_unique<std::deque<cycle_t>>());
+    }
+    for (std::size_t i = 0; i < n_relay; ++i) {
+      relays.push_back(std::make_unique<Relay>(
+          "relay" + std::to_string(i), queues[i].get(),
+          i + 1 < n_relay ? queues[i + 1].get() : nullptr));
+    }
+    for (std::size_t i = 0; i < n_src; ++i) {
+      sources.push_back(std::make_unique<PulseSource>(
+          "src" + std::to_string(i), 2 + prng.next_below(9),
+          prng.next_below(7), queues[0].get()));
+    }
+    for (std::size_t i = 0; i < n_fused; ++i) {
+      fused.push_back(std::make_unique<FusedSource>(
+          "fused" + std::to_string(i), 8 + prng.next_below(40),
+          queues[0].get()));
+    }
+    if (relays_first) {
+      for (auto& r : relays) sched.add(r.get(), /*needs_commit=*/false);
+    }
+    for (auto& s : sources) sched.add(s.get(), /*needs_commit=*/false);
+    for (auto& f : fused) sched.add(f.get(), /*needs_commit=*/false);
+    if (!relays_first) {
+      for (auto& r : relays) sched.add(r.get(), /*needs_commit=*/false);
+    }
+  }
+
+  /// Everything observable: per-relay pop traces, signatures, counters.
+  [[nodiscard]] std::vector<std::uint64_t> observation() const {
+    std::vector<std::uint64_t> obs{sched.now()};
+    for (const auto& s : sources) obs.push_back(s->pulses());
+    for (const auto& f : fused) {
+      obs.push_back(f->emitted());
+      obs.push_back(f->state());
+    }
+    for (const auto& r : relays) {
+      obs.push_back(r->popped());
+      obs.push_back(r->signature());
+      obs.push_back(r->idle_cycles());
+      for (const cycle_t c : r->pop_cycles()) obs.push_back(c);
+    }
+    return obs;
+  }
+};
+
+TEST(EventKernel, RandomizedGraphsBitIdenticalToExactStepping) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    for (const bool relays_first : {false, true}) {
+      RandomGraph exact(seed, relays_first);
+      RandomGraph fast(seed, relays_first);
+      exact.sched.step_n(400);
+      const RunUntilResult r =
+          fast.sched.run_until(never, 400, /*skip_quiescent=*/true);
+      EXPECT_TRUE(r.timed_out());
+      EXPECT_EQ(exact.observation(), fast.observation())
+          << "seed " << seed << ", relays_first " << relays_first;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// run_until parity: stop cycles and typed timeouts.
+// ---------------------------------------------------------------------------
+
+TEST(EventKernel, PredicateStopCycleMatchesExactStepping) {
+  auto run = [](bool fast) {
+    Scheduler sched;
+    std::deque<cycle_t> q;
+    PulseSource src("src", 7, 2, &q);
+    Relay sink("sink", &q, nullptr);
+    sched.add(&src, /*needs_commit=*/false);
+    sched.add(&sink, /*needs_commit=*/false);
+    const auto done = [&] { return sink.popped() >= 4; };
+    const RunUntilResult r = sched.run_until(done, 1'000, fast);
+    EXPECT_FALSE(r.timed_out());
+    return r.now;
+  };
+  EXPECT_EQ(run(false), run(true));
+}
+
+TEST(EventKernel, TimeoutParityOnDeadlock) {
+  // A forever-idle system: exact stepping burns every cycle to the
+  // deadline; the fast path skips straight to it. Both must report the
+  // same typed timeout at the same cycle — and never abort.
+  auto run = [](bool fast) {
+    Scheduler sched;
+    std::deque<cycle_t> q;
+    Relay sink("sink", &q, nullptr);
+    sched.add(&sink, /*needs_commit=*/false);
+    const RunUntilResult r = sched.run_until(never, 5'000, fast);
+    EXPECT_TRUE(r.timed_out());
+    EXPECT_EQ(sink.idle_cycles(), 5'000u);
+    return r.now;
+  };
+  EXPECT_EQ(run(false), run(true));
+  EXPECT_EQ(run(true), 5'000u);
+}
+
+// ---------------------------------------------------------------------------
+// Compiled macro-steps: the polled grant rule and its edges.
+// ---------------------------------------------------------------------------
+
 TEST(MacroStep, BitIdenticalToExactSteppingAndCutsDispatches) {
-  // One never-quiet fused source feeding a relay: the event kernel alone
-  // must dispatch the source every cycle; with macro-steps the inter-emit
-  // spans collapse into fused calls. All three runs must agree on every
+  // One never-quiet fused source feeding a relay: exact stepping must
+  // dispatch the source every cycle; the fast path collapses the
+  // inter-emit spans into fused calls. Both runs must agree on every
   // observable — emit count, evolving xorshift state, the relay's pop
   // trace and signature, and final simulated time.
   struct Run {
@@ -460,7 +435,6 @@ TEST(MacroStep, BitIdenticalToExactSteppingAndCutsDispatches) {
     Run() {
       sched.add(&src, /*needs_commit=*/false);
       sched.add(&sink, /*needs_commit=*/false);
-      sched.add_wakeup(&src, &sink);
     }
     [[nodiscard]] std::vector<std::uint64_t> observation() const {
       std::vector<std::uint64_t> obs{sched.now(), src.emitted(), src.state(),
@@ -469,25 +443,23 @@ TEST(MacroStep, BitIdenticalToExactSteppingAndCutsDispatches) {
       return obs;
     }
   };
-  Run exact, event, macro;
+  Run exact, fast;
   exact.sched.step_n(2'000);
-  (void)event.sched.run_until_events(never, 2'000);
-  (void)macro.sched.run_until_events(never, 2'000, /*macro_steps=*/true);
-  EXPECT_EQ(exact.observation(), event.observation());
-  EXPECT_EQ(exact.observation(), macro.observation());
-  // The macro run actually engaged, and each grant replaced many ticks.
-  const auto& ev = event.sched.dispatch_stats();
-  const auto& ma = macro.sched.dispatch_stats();
-  EXPECT_EQ(ev.macro_dispatches, 0u);
-  EXPECT_GT(ma.macro_dispatches, 0u);
-  EXPECT_GT(ma.macro_cycles, ma.macro_dispatches);
-  EXPECT_LT(ma.ticks, ev.ticks);
+  (void)fast.sched.run_until(never, 2'000, /*skip_quiescent=*/true);
+  EXPECT_EQ(exact.observation(), fast.observation());
+  // The fast run actually granted, and each grant replaced many ticks.
+  const auto& ex = exact.sched.dispatch_stats();
+  const auto& fa = fast.sched.dispatch_stats();
+  EXPECT_EQ(ex.macro_dispatches, 0u);
+  EXPECT_GT(fa.macro_dispatches, 0u);
+  EXPECT_GT(fa.macro_cycles, fa.macro_dispatches);
+  EXPECT_LT(fa.ticks, ex.ticks);
 }
 
 TEST(MacroStep, NoGrantWhenTwoComponentsAreDue) {
-  // Steady-state predicate edge: two never-quiet components are both due
-  // every cycle, so the single-owner grant rule must never fire — the
-  // kernel stays per-cycle and the run remains bit-identical to exact.
+  // Two never-quiet components both report quiet_for() == 0 every cycle:
+  // the poll sees two due components, so no grant is ever offered — the
+  // run stays per-cycle and bit-identical to exact stepping.
   struct Run {
     Scheduler sched;
     std::deque<cycle_t> qa, qb;
@@ -501,21 +473,22 @@ TEST(MacroStep, NoGrantWhenTwoComponentsAreDue) {
       return {sched.now(), a.emitted(), a.state(), b.emitted(), b.state()};
     }
   };
-  Run exact, macro;
+  Run exact, fast;
+  EXPECT_EQ(fast.sched.poll().due, 2u);
   exact.sched.step_n(500);
-  (void)macro.sched.run_until_events(never, 500, /*macro_steps=*/true);
-  EXPECT_EQ(exact.observation(), macro.observation());
-  EXPECT_EQ(macro.sched.dispatch_stats().macro_dispatches, 0u);
-  EXPECT_TRUE(macro.a.budgets().empty());
-  EXPECT_TRUE(macro.b.budgets().empty());
+  (void)fast.sched.run_until(never, 500, /*skip_quiescent=*/true);
+  EXPECT_EQ(exact.observation(), fast.observation());
+  EXPECT_EQ(fast.sched.dispatch_stats().macro_dispatches, 0u);
+  EXPECT_TRUE(fast.a.budgets().empty());
+  EXPECT_TRUE(fast.b.budgets().empty());
 }
 
 TEST(MacroStep, NeighborActivationCapsBudgetAndDemotesOnArrival) {
   // A fused source that would happily run forever shares the graph with a
-  // periodic probe sleeping between activations. Every granted budget
-  // must stop at the probe's next activation (horizon - now), and on the
-  // probe's due cycle itself two components are due, so the kernel
-  // demotes to a per-cycle event dispatch that exact stepping matches.
+  // periodic probe quiet between activations. Every granted budget must
+  // stop at the probe's next activation, and on the probe's due cycle
+  // itself two components are due, so the fast path steps that cycle
+  // exactly — which exact stepping matches.
   struct Run {
     Scheduler sched;
     std::deque<cycle_t> q;
@@ -536,14 +509,109 @@ TEST(MacroStep, NeighborActivationCapsBudgetAndDemotesOnArrival) {
       return obs;
     }
   };
-  Run exact, macro;
+  Run exact, fast;
   exact.sched.step_n(400);
-  (void)macro.sched.run_until_events(never, 400, /*macro_steps=*/true);
-  EXPECT_EQ(exact.observation(), macro.observation());
-  const auto& budgets = macro.src.budgets();
+  (void)fast.sched.run_until(never, 400, /*skip_quiescent=*/true);
+  EXPECT_EQ(exact.observation(), fast.observation());
+  const auto& budgets = fast.src.budgets();
   ASSERT_FALSE(budgets.empty());
-  // The probe wakes every 10 cycles, so no span may reach past that.
+  // The probe ticks every 10 cycles, so no span may reach past that.
   EXPECT_LE(*std::max_element(budgets.begin(), budgets.end()), 10u);
+}
+
+TEST(PolledGrant, PollReportsDueCountIndexAndHorizon) {
+  Scheduler sched;
+  std::deque<cycle_t> q;
+  SkipRecorder forever("forever", Component::kQuietForever);
+  SkipRecorder near("near", 9);
+  FusedSource src("src", 100, &q);
+  sched.add(&forever, /*needs_commit=*/false);
+  sched.add(&near, /*needs_commit=*/false);
+  sched.add(&src, /*needs_commit=*/false);
+  const Scheduler::Poll p = sched.poll();
+  EXPECT_EQ(p.due, 1u);
+  EXPECT_EQ(p.due_idx, 2u);
+  EXPECT_EQ(p.horizon, 9u);
+  // A second never-quiet component makes it "two or more": no grant.
+  FusedSource other("other", 100, &q);
+  sched.add(&other, /*needs_commit=*/false);
+  EXPECT_EQ(sched.poll().due, 2u);
+  EXPECT_EQ(sched.quiescent_cycles(), 0u);
+}
+
+TEST(PolledGrant, BudgetIsSmallestNeighbourReportAtGrantTime) {
+  // Neighbours with different countdowns: the budget offered to the due
+  // component must be the smallest report polled at the grant's own
+  // cycle. After three exact steps the near neighbour reports 6, not the
+  // 9 it reported at cycle 0.
+  Scheduler sched;
+  std::deque<cycle_t> q;
+  SkipRecorder far("far", 40);
+  SkipRecorder near("near", 9);
+  FusedSource src("src", 1'000, &q);
+  sched.add(&far, /*needs_commit=*/false);
+  sched.add(&near, /*needs_commit=*/false);
+  sched.add(&src, /*needs_commit=*/false);
+  EXPECT_EQ(sched.poll().horizon, 9u);
+  sched.step_n(3);
+  const Scheduler::Poll p = sched.poll();
+  ASSERT_EQ(p.due, 1u);
+  EXPECT_EQ(p.horizon, 6u);
+  EXPECT_EQ(sched.grant(p, 1'000), 6u);
+  // The caller's span cap also bounds the budget.
+  const Scheduler::Poll capped = sched.poll();
+  ASSERT_EQ(capped.due, 2u);  // near is due now, alongside src
+  sched.step_n(1);
+  const Scheduler::Poll next = sched.poll();
+  ASSERT_EQ(next.due, 1u);
+  EXPECT_EQ(sched.grant(next, 4), 4u);
+  EXPECT_EQ(src.budgets(), (std::vector<cycle_t>{6, 4}));
+}
+
+TEST(PolledGrant, EveryOtherComponentSkipsExactlyTheUsedSpan) {
+  // The fused source stops one cycle before its emit (15 of a 64-cycle
+  // budget): every neighbour — forever-quiet or counting down — must
+  // bulk-apply exactly those 15 cycles, and the due component none.
+  Scheduler sched;
+  std::deque<cycle_t> q;
+  SkipRecorder forever("forever", Component::kQuietForever);
+  FusedSource src("src", 16, &q);
+  SkipRecorder countdown("countdown", 64);
+  sched.add(&forever, /*needs_commit=*/false);
+  sched.add(&src, /*needs_commit=*/false);
+  sched.add(&countdown, /*needs_commit=*/false);
+  const Scheduler::Poll p = sched.poll();
+  ASSERT_EQ(p.due, 1u);
+  EXPECT_EQ(sched.grant(p, 1'000), 15u);
+  EXPECT_EQ(src.budgets(), (std::vector<cycle_t>{64}));
+  EXPECT_EQ(forever.skips(), (std::vector<cycle_t>{15}));
+  EXPECT_EQ(countdown.skips(), (std::vector<cycle_t>{15}));
+  EXPECT_EQ(countdown.quiet_for(sched.now()), 49u);
+  EXPECT_EQ(sched.now(), 15u);
+  EXPECT_EQ(sched.dispatch_stats().macro_dispatches, 1u);
+  EXPECT_EQ(sched.dispatch_stats().macro_cycles, 15u);
+  EXPECT_EQ(sched.dispatch_stats().ticks, 0u);
+}
+
+TEST(PolledGrant, RandomizedGraphsWithFusedSourcesBitIdentical) {
+  // Randomized graphs that also contain macro-capable sources: the fast
+  // path skips, grants and steps exactly in every mix, and must stay
+  // bit-identical to exact stepping; across the seeds grants must fire.
+  std::uint64_t grants = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    for (const bool relays_first : {false, true}) {
+      RandomGraph exact(seed, relays_first, /*with_fused=*/true);
+      RandomGraph fast(seed, relays_first, /*with_fused=*/true);
+      exact.sched.step_n(600);
+      const RunUntilResult r =
+          fast.sched.run_until(never, 600, /*skip_quiescent=*/true);
+      EXPECT_TRUE(r.timed_out());
+      EXPECT_EQ(exact.observation(), fast.observation())
+          << "seed " << seed << ", relays_first " << relays_first;
+      grants += fast.sched.dispatch_stats().macro_dispatches;
+    }
+  }
+  EXPECT_GT(grants, 0u);
 }
 
 TEST(MacroStepDeath, BudgetOverrunAborts) {
@@ -553,8 +621,9 @@ TEST(MacroStepDeath, BudgetOverrunAborts) {
   std::deque<cycle_t> q;
   FusedSource src("src", 50, &q, /*overrun=*/true);
   sched.add(&src, /*needs_commit=*/false);
-  EXPECT_DEATH((void)sched.run_until_events(never, 100, /*macro_steps=*/true),
-               "overran its budget");
+  EXPECT_DEATH(
+      (void)sched.run_until(never, 100, /*skip_quiescent=*/true),
+      "overran its budget");
 }
 
 // ---------------------------------------------------------------------------
@@ -562,9 +631,9 @@ TEST(MacroStepDeath, BudgetOverrunAborts) {
 // with bit-identical results — whenever a disqualifier is present.
 // ---------------------------------------------------------------------------
 
-/// A full accelerator run under the event kernel with macro-steps
-/// enabled, returning everything observable plus the kernel's dispatch
-/// accounting so tests can assert whether macro-steps engaged at all.
+/// A full accelerator run (fast path or exact stepping), returning
+/// everything observable; tests read the kernel's dispatch accounting to
+/// assert whether macro-steps engaged at all.
 struct MacroRunObservation {
   sim::cycle_t final_now = 0;
   std::vector<hw::NbtResult> results;
@@ -606,16 +675,12 @@ struct MacroAccelRun {
 hw::AcceleratorConfig macro_cfg() {
   hw::AcceleratorConfig cfg;
   cfg.idle_skip = true;
-  cfg.event_kernel = true;
-  cfg.macro_step = true;
   return cfg;
 }
 
 hw::AcceleratorConfig exact_cfg() {
   hw::AcceleratorConfig cfg;
   cfg.idle_skip = false;
-  cfg.event_kernel = false;
-  cfg.macro_step = false;
   return cfg;
 }
 

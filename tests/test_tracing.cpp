@@ -5,8 +5,8 @@
 // and the property the whole design hangs on: recording is
 // zero-perturbation. The recorder-on and recorder-off arms of the same
 // workload must produce bit-identical completions, ServiceStats and full
-// per-device PMU banks under every stepping strategy (exact, legacy
-// skip, event kernel, event kernel + macro-steps).
+// per-device PMU banks under both stepping strategies (exact and the
+// fast path).
 #include "svc/trace_io.hpp"
 
 #include <gtest/gtest.h>
@@ -242,30 +242,20 @@ TEST(TraceDump, ParserRejectsGarbage) {
 // ---------------------------------------------------------------------------
 // Zero-perturbation: the acceptance property. One workload, two arms
 // (recorder fully on with keep-all + registry sampling vs recording
-// disabled), every stepping strategy — completions, per-lane stats and
+// disabled), both stepping strategies — completions, per-lane stats and
 // the complete 19-counter PMU bank of every device must be identical.
 
-enum class StepStrategy { kExact, kLegacySkip, kEventKernel, kEventMacro };
+enum class StepStrategy { kExact, kFast };
 
-constexpr StepStrategy kAllStrategies[] = {
-    StepStrategy::kExact, StepStrategy::kLegacySkip,
-    StepStrategy::kEventKernel, StepStrategy::kEventMacro};
+constexpr StepStrategy kAllStrategies[] = {StepStrategy::kExact,
+                                           StepStrategy::kFast};
 
 const char* strategy_name(StepStrategy s) {
-  switch (s) {
-    case StepStrategy::kExact: return "exact";
-    case StepStrategy::kLegacySkip: return "legacy-skip";
-    case StepStrategy::kEventKernel: return "event-kernel";
-    case StepStrategy::kEventMacro: return "event-macro";
-  }
-  return "?";
+  return s == StepStrategy::kExact ? "exact" : "fast";
 }
 
 void apply_strategy(hw::AcceleratorConfig& cfg, StepStrategy s) {
-  cfg.idle_skip = s != StepStrategy::kExact;
-  cfg.event_kernel =
-      s == StepStrategy::kEventKernel || s == StepStrategy::kEventMacro;
-  cfg.macro_step = s == StepStrategy::kEventMacro;
+  cfg.idle_skip = s == StepStrategy::kFast;
 }
 
 /// Everything the service run exposes that recording must not change.
@@ -396,16 +386,10 @@ TEST(ZeroPerturbation, AllStrategiesAgreeWithRecorderOn) {
   TraceConfig on;
   on.keep_all = true;
   const ServiceObservation exact = run_workload(StepStrategy::kExact, on);
-  for (const StepStrategy s :
-       {StepStrategy::kLegacySkip, StepStrategy::kEventKernel,
-        StepStrategy::kEventMacro}) {
-    SCOPED_TRACE(strategy_name(s));
-    const ServiceObservation fast = run_workload(s, on);
-    expect_observations_eq(exact, fast, strategy_name(s),
-                           /*cross_strategy=*/true);
-    // The recorded causal history itself is strategy-invariant too.
-    EXPECT_EQ(exact.traced_events, fast.traced_events);
-  }
+  const ServiceObservation fast = run_workload(StepStrategy::kFast, on);
+  expect_observations_eq(exact, fast, "fast", /*cross_strategy=*/true);
+  // The recorded causal history itself is strategy-invariant too.
+  EXPECT_EQ(exact.traced_events, fast.traced_events);
 }
 
 // ---------------------------------------------------------------------------
@@ -417,7 +401,7 @@ TEST(ServiceTrace, LiveDumpValidatesAndSummarizes) {
   on.keep_all = true;
   on.sample_interval = 8192;
   const ServiceObservation obs =
-      run_workload(StepStrategy::kEventMacro, on);
+      run_workload(StepStrategy::kFast, on);
   EXPECT_GT(obs.traced_events, 0u);
 
   // Rebuild the same workload to get at the dump (run_workload returns

@@ -26,8 +26,8 @@ Semantics:
     baseline refreshed against a newer bench). Neither is an error —
     refreshing the baseline reconciles both.
   - The optional top-level "meta" block (run conditions stamped by
-    bench/bench_util.hpp: stepping strategy, sanitizer flags, device
-    count) is printed for the reader and never gated on.
+    bench/bench_util.hpp: sanitizer flags, device count) is printed for
+    the reader and never gated on.
   - A missing or malformed JSON file is a clear one-line diagnostic and
     exit 1, never a traceback.
 
@@ -48,10 +48,9 @@ def load_metrics(path):
     metrics = doc.get("metrics")
     if not isinstance(metrics, dict):
         raise ValueError(f"{path}: no 'metrics' object")
-    # The optional "meta" block carries run conditions (stepping strategy,
-    # sanitizer flags, device count). It is informational by contract:
-    # printed for the reader, never compared or gated on, and absent from
-    # older reports.
+    # The optional "meta" block carries run conditions (sanitizer flags,
+    # device count). It is informational by contract: printed for the
+    # reader, never compared or gated on, and absent from older reports.
     meta = doc.get("meta")
     return doc.get("bench", "?"), metrics, meta if isinstance(meta, dict) else {}
 
