@@ -109,8 +109,7 @@ int main(int argc, char** argv) {
       sim::FaultInjector::make_campaign(0xbeef, campaign);
   eng.device(0).attach_fault_injector(&injector);
 
-  const engine::Engine::ResilientReport report =
-      eng.run_resilient(accel_pairs);
+  const engine::ResilientReport report = eng.run_resilient(accel_pairs);
 
   std::size_t score_matches = 0;
   for (std::size_t i = 0; i < report.outcomes.size(); ++i) {

@@ -1,6 +1,7 @@
 #include "drv/backtrace_cpu.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <set>
 #include <span>
@@ -32,127 +33,6 @@ std::size_t txns_per_block(unsigned parallel_sections) {
   } while (0)
 
 }  // namespace
-
-std::vector<BtAlignment> parse_bt_stream(const mem::MainMemory& memory,
-                                         std::uint64_t out_addr,
-                                         std::size_t num_pairs,
-                                         bool separate_data,
-                                         cpu::BtCpuCounters* counters,
-                                         bool crc, std::uint32_t crc_salt) {
-  std::vector<BtAlignment> done;
-  std::map<std::uint32_t, BtAlignment> open;  // id -> in-flight alignment
-  std::map<std::uint32_t, Crc32> crcs;        // id -> running stream CRC
-  std::size_t last_seen = 0;
-  std::uint64_t addr = out_addr;
-  std::uint32_t current_id = 0;
-  bool have_current = false;
-
-  const auto read_txn = [&](mem::Beat& beat) {
-    memory.read(addr, std::span<std::uint8_t>(beat.data.data(),
-                                              mem::kBeatBytes));
-    addr += mem::kBeatBytes;
-    return hw::unpack_bt_transaction(beat);
-  };
-
-  while (last_seen < num_pairs) {
-    mem::Beat beat;
-    const hw::BtTransaction txn = read_txn(beat);
-    if (counters != nullptr && separate_data) {
-      // Multi-Aligner method: the CPU touches and copies every
-      // transaction while separating the interleaved stream by id (§4.5).
-      ++counters->blocks_scanned;
-      ++counters->blocks_copied;
-    }
-    if (crc) {
-      if (hw::is_bt_crc_footer(txn)) {
-        const auto it = crcs.find(txn.id);
-        WFASIC_REQUIRE(it != crcs.end() &&
-                           hw::bt_crc_footer_value(txn) == it->second.value(),
-                       "parse_bt_stream: alignment failed its stream CRC");
-        crcs.erase(it);
-        continue;  // footers carry no payload
-      }
-      // Mirrors the Collector: every packed beat of the alignment,
-      // including the Last one, folds into the per-alignment accumulator.
-      crcs.try_emplace(txn.id, Crc32(crc_salt))
-          .first->second.update(beat.data.data(), mem::kBeatBytes);
-    }
-
-    if (!separate_data) {
-      // Single-Aligner method: the stream must be consecutive per
-      // alignment — an interleaved transaction means the driver was used
-      // with a multi-Aligner accelerator by mistake.
-      if (have_current) {
-        WFASIC_REQUIRE(txn.id == current_id,
-                       "parse_bt_stream: interleaved stream requires the "
-                       "data-separation method");
-      } else {
-        current_id = txn.id;
-        have_current = true;
-      }
-    }
-
-    BtAlignment& alignment = open[txn.id];
-    alignment.id = txn.id;
-    if (txn.last) {
-      const hw::BtScoreRecord record = hw::unpack_bt_score_record(txn.data);
-      alignment.success = record.success;
-      alignment.score = record.score;
-      alignment.k_reached = record.k_reached;
-      // Transaction counters must be gapless: payload txns then the record.
-      const std::size_t expected_payload_txns =
-          alignment.payload.size() / hw::kBtPayloadBytes;
-      WFASIC_REQUIRE(txn.counter == expected_payload_txns,
-                     "parse_bt_stream: transaction counter gap");
-      if (counters != nullptr && !separate_data) {
-        // Single-Aligner method: transactions are consecutive per
-        // alignment and carry their in-alignment counter, so the CPU finds
-        // each boundary with a binary search over the counter
-        // discontinuity — O(log n) probes instead of a full scan. This is
-        // the §4.5 "method that identifies these boundaries" and the
-        // reason the No-Sep configuration wins Figure 11.
-        std::size_t probes = 2;
-        for (std::size_t span = expected_payload_txns + 1; span > 1;
-             span /= 2) {
-          ++probes;
-        }
-        counters->blocks_scanned += probes;
-      }
-      done.push_back(std::move(alignment));
-      open.erase(txn.id);
-      ++last_seen;
-      have_current = false;
-    } else {
-      WFASIC_REQUIRE(
-          txn.counter ==
-              alignment.payload.size() / hw::kBtPayloadBytes,
-          "parse_bt_stream: out-of-order transaction counter");
-      alignment.payload.insert(alignment.payload.end(), txn.data.begin(),
-                               txn.data.end());
-    }
-  }
-  WFASIC_REQUIRE(open.empty(),
-                 "parse_bt_stream: stream ended with incomplete alignments");
-  // The final alignments' CRC footers trail their Last beats; drain and
-  // verify them before declaring the stream good.
-  while (crc && !crcs.empty()) {
-    mem::Beat beat;
-    const hw::BtTransaction txn = read_txn(beat);
-    if (counters != nullptr && separate_data) {
-      ++counters->blocks_scanned;
-      ++counters->blocks_copied;
-    }
-    WFASIC_REQUIRE(hw::is_bt_crc_footer(txn),
-                   "parse_bt_stream: expected a trailing CRC footer");
-    const auto it = crcs.find(txn.id);
-    WFASIC_REQUIRE(it != crcs.end() &&
-                       hw::bt_crc_footer_value(txn) == it->second.value(),
-                   "parse_bt_stream: alignment failed its stream CRC");
-    crcs.erase(it);
-  }
-  if (counters != nullptr) counters->alignments += done.size();
-  return done;
-}
 
 std::optional<core::AlignResult> try_reconstruct_alignment(
     const BtAlignment& bt, std::string_view a, std::string_view b,
@@ -366,6 +246,14 @@ BtStreamScan try_parse_bt_stream(const mem::MainMemory& memory,
   const std::uint64_t end =
       out_addr + (max_bytes / mem::kBeatBytes) * mem::kBeatBytes;
   std::size_t complete = 0;
+  std::uint32_t current_id = 0;  // alignment the stream is inside, if any
+  bool have_current = false;
+  // Records the first anomaly's message; every anomaly marks the scan
+  // unclean.
+  const auto anomaly = [&scan](const char* why) {
+    if (scan.clean) scan.why = why;
+    scan.clean = false;
+  };
 
   while ((complete < num_pairs || (crc && !awaiting.empty())) &&
          addr + mem::kBeatBytes <= end) {
@@ -373,6 +261,7 @@ BtStreamScan try_parse_bt_stream(const mem::MainMemory& memory,
     memory.read(addr,
                 std::span<std::uint8_t>(beat.data.data(), mem::kBeatBytes));
     addr += mem::kBeatBytes;
+    ++scan.beats_read;
     const hw::BtTransaction txn = hw::unpack_bt_transaction(beat);
 
     if (crc) {
@@ -386,14 +275,26 @@ BtStreamScan try_parse_bt_stream(const mem::MainMemory& memory,
             hw::bt_crc_footer_value(txn) == acc->second.value()) {
           scan.alignments.push_back(std::move(wait->second));
         } else {
-          scan.clean = false;  // drop the damaged alignment
+          // Drop the damaged alignment.
+          anomaly("parse_bt_stream: alignment failed its stream CRC");
         }
         if (acc != crcs.end()) crcs.erase(acc);
         if (wait != awaiting.end()) awaiting.erase(wait);
-        continue;
+        continue;  // footers carry no payload
       }
+      // Mirrors the Collector: every packed beat of the alignment,
+      // including the Last one, folds into the per-alignment accumulator.
       crcs.try_emplace(txn.id, Crc32(crc_salt))
           .first->second.update(beat.data.data(), mem::kBeatBytes);
+    }
+
+    // A single-Aligner stream is consecutive per alignment; a transaction
+    // of another id before the open one's Last is an interleaved stream.
+    if (!have_current) {
+      current_id = txn.id;
+      have_current = true;
+    } else if (txn.id != current_id) {
+      scan.interleaved = true;
     }
 
     BtAlignment& alignment = open[txn.id];
@@ -401,7 +302,11 @@ BtStreamScan try_parse_bt_stream(const mem::MainMemory& memory,
     const std::size_t expected_counter =
         alignment.payload.size() / hw::kBtPayloadBytes;
     if (txn.last) {
-      if (!poisoned.contains(txn.id) && txn.counter == expected_counter) {
+      // Transaction counters must be gapless: payload txns then the record.
+      if (poisoned.contains(txn.id) || txn.counter != expected_counter) {
+        // Drop the damaged alignment.
+        anomaly("parse_bt_stream: transaction counter gap");
+      } else {
         const hw::BtScoreRecord record =
             hw::unpack_bt_score_record(txn.data);
         alignment.success = record.success;
@@ -410,30 +315,80 @@ BtStreamScan try_parse_bt_stream(const mem::MainMemory& memory,
         if (crc) {
           // Hold the alignment until its footer confirms the stream; a
           // second Last for the same id (corruption) drops the first.
-          if (awaiting.contains(txn.id)) scan.clean = false;
+          if (awaiting.contains(txn.id)) {
+            anomaly("parse_bt_stream: alignment failed its stream CRC");
+          }
           awaiting.insert_or_assign(txn.id, std::move(alignment));
         } else {
           scan.alignments.push_back(std::move(alignment));
         }
-      } else {
-        scan.clean = false;  // drop the damaged alignment
       }
       open.erase(txn.id);
       poisoned.erase(txn.id);
       ++complete;
+      have_current = false;
     } else if (txn.counter != expected_counter) {
       // Counter gap: a beat of this alignment was lost, duplicated, or
       // corrupted. Poison the id so its eventual score record is dropped.
-      scan.clean = false;
+      anomaly("parse_bt_stream: out-of-order transaction counter");
       poisoned.insert(txn.id);
     } else if (!poisoned.contains(txn.id)) {
       alignment.payload.insert(alignment.payload.end(), txn.data.begin(),
                                txn.data.end());
     }
   }
-  if (!open.empty() || complete < num_pairs) scan.clean = false;
-  if (crc && !awaiting.empty()) scan.clean = false;  // footer never arrived
+  if (!open.empty() || complete < num_pairs) {
+    anomaly("parse_bt_stream: stream ended with incomplete alignments");
+  }
+  if (crc && !awaiting.empty()) {
+    anomaly("parse_bt_stream: expected a trailing CRC footer");
+  }
   return scan;
+}
+
+std::vector<BtAlignment> parse_bt_stream(const mem::MainMemory& memory,
+                                         std::uint64_t out_addr,
+                                         std::size_t num_pairs,
+                                         bool separate_data,
+                                         cpu::BtCpuCounters* counters,
+                                         bool crc, std::uint32_t crc_salt) {
+  // The strict parser trusts num_pairs, so the scan may run to the end of
+  // memory; a stream that does not close there is incomplete.
+  const std::uint64_t max_bytes =
+      out_addr < memory.size() ? memory.size() - out_addr : 0;
+  BtStreamScan scan = try_parse_bt_stream(memory, out_addr, max_bytes,
+                                          num_pairs, crc, crc_salt);
+  // An interleaved stream under the single-Aligner method means the
+  // driver was used with a multi-Aligner accelerator by mistake.
+  WFASIC_REQUIRE(separate_data || !scan.interleaved,
+                 "parse_bt_stream: interleaved stream requires the "
+                 "data-separation method");
+  WFASIC_REQUIRE(scan.clean, scan.why);
+  if (counters != nullptr) {
+    if (separate_data) {
+      // Multi-Aligner method: the CPU touches and copies every
+      // transaction, footers included, while separating the interleaved
+      // stream by id (§4.5).
+      counters->blocks_scanned += scan.beats_read;
+      counters->blocks_copied += scan.beats_read;
+    } else {
+      // Single-Aligner method: transactions are consecutive per alignment
+      // and carry their in-alignment counter, so the CPU finds each
+      // boundary with a binary search over the counter discontinuity —
+      // O(log n) probes instead of a full scan. This is the §4.5 "method
+      // that identifies these boundaries" and the reason the No-Sep
+      // configuration wins Figure 11.
+      for (const BtAlignment& bt : scan.alignments) {
+        const std::size_t payload_txns =
+            bt.payload.size() / hw::kBtPayloadBytes;
+        // 2 + floor(log2(payload_txns + 1)) probes.
+        counters->blocks_scanned +=
+            1 + static_cast<std::uint64_t>(std::bit_width(payload_txns + 1));
+      }
+    }
+    counters->alignments += scan.alignments.size();
+  }
+  return std::move(scan.alignments);
 }
 
 }  // namespace wfasic::drv

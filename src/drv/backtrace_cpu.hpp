@@ -11,6 +11,11 @@
 // coordinates using the deterministic wavefront geometry, collects the
 // difference operations, and finally re-traverses the two sequences to
 // insert the matches between differences (§4.5).
+//
+// Each job has one implementation, the tolerant one (try_parse_bt_stream,
+// try_reconstruct_alignment); the strict variants are that implementation
+// plus WFASIC_REQUIRE checks on its verdict. Parsed alignments come back in
+// stream order, so callers index them by BtAlignment::id.
 #pragma once
 
 #include <cstdint>
@@ -36,31 +41,21 @@ struct BtAlignment {
   std::vector<std::uint8_t> payload;
 };
 
-/// Parses the output stream at `out_addr` until `num_pairs` Last flags
-/// have been seen.
-///
-/// `separate_data == false` is the single-Aligner method and *requires* a
-/// non-interleaved stream (aborts otherwise); `true` is the multi-Aligner
-/// method and charges the separation copies to `counters`.
-///
-/// With `crc` (AcceleratorConfig::crc), every alignment's beats are
-/// accumulated into a salted CRC-32 and checked against the footer
-/// transaction the Collector emitted after its Last beat; a mismatch or a
-/// missing footer aborts (this is the strict parser — use
-/// try_parse_bt_stream for tolerant recovery).
-[[nodiscard]] std::vector<BtAlignment> parse_bt_stream(
-    const mem::MainMemory& memory, std::uint64_t out_addr,
-    std::size_t num_pairs, bool separate_data,
-    cpu::BtCpuCounters* counters = nullptr, bool crc = false,
-    std::uint32_t crc_salt = 0);
-
-/// Tolerant stream scan for the resilient driver (error-path recovery):
-/// unlike parse_bt_stream it never aborts — it reads at most `max_bytes`
-/// (bound it by the beats the DMA actually wrote), drops alignments whose
-/// transactions are inconsistent, and reports whether anomalies were seen.
+/// Tolerant stream scan: it never aborts. It reads at most `max_bytes`
+/// (bound it by the beats the DMA actually wrote), stops once `num_pairs`
+/// Last flags (and, with `crc`, their footers) have been seen, drops
+/// alignments whose transactions are inconsistent, and reports what it
+/// saw. Alignments come in stream order — the order their Last beat (with
+/// `crc`, their footer) arrived — so callers index them by `id`.
 struct BtStreamScan {
   std::vector<BtAlignment> alignments;  ///< complete, internally consistent
   bool clean = true;  ///< false: counter gaps, truncation, or dropped data
+  /// The first anomaly that made the scan unclean (nullptr while clean).
+  const char* why = nullptr;
+  /// A transaction arrived while another alignment was still open: the
+  /// stream needs the data-separation method.
+  bool interleaved = false;
+  std::uint64_t beats_read = 0;  ///< 16-byte beats read, footers included
 };
 /// With `crc`, an alignment is only accepted once a footer transaction
 /// carrying the matching salted CRC-32 over all its beats has been seen —
@@ -74,14 +69,29 @@ struct BtStreamScan {
                                                bool crc = false,
                                                std::uint32_t crc_salt = 0);
 
+/// Strict parse of the stream at `out_addr`: try_parse_bt_stream bounded
+/// only by the memory size, plus checks on its verdict. Any anomaly —
+/// counter gap, missing or failing CRC footer, truncation — aborts with
+/// the scan's first anomaly. Returns the alignments in stream order.
+///
+/// `separate_data == false` is the single-Aligner method and *requires* a
+/// non-interleaved stream (aborts otherwise); `true` is the multi-Aligner
+/// method. The CPU cost of either method is charged to `counters`.
+[[nodiscard]] std::vector<BtAlignment> parse_bt_stream(
+    const mem::MainMemory& memory, std::uint64_t out_addr,
+    std::size_t num_pairs, bool separate_data,
+    cpu::BtCpuCounters* counters = nullptr, bool crc = false,
+    std::uint32_t crc_salt = 0);
+
 /// Rebuilds the full alignment (score + CIGAR) of (a, b) from backtrace
 /// data, replaying the wavefront geometry to locate each cell's origin
-/// bits and inserting matches by traversing the sequences.
+/// bits and inserting matches by traversing the sequences. Strict:
+/// try_reconstruct_alignment plus a check that it succeeded.
 [[nodiscard]] core::AlignResult reconstruct_alignment(
     const BtAlignment& bt, std::string_view a, std::string_view b,
     const hw::AcceleratorConfig& cfg, cpu::BtCpuCounters* counters = nullptr);
 
-/// Non-aborting variant for the resilient driver: returns std::nullopt
+/// Non-aborting variant for the engine's resilient path: returns std::nullopt
 /// (with the failing check's message in *why, if given) when the backtrace
 /// data is inconsistent with the sequences or the wavefront geometry. The
 /// deep self-checks double as corruption detectors: a stream damaged in

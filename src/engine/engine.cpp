@@ -535,7 +535,7 @@ BatchResult Engine::run_dataset(std::span<const gen::SequencePair> pairs,
   return merged;
 }
 
-Engine::ResilientReport Engine::run_resilient(
+ResilientReport Engine::run_resilient(
     std::span<const gen::SequencePair> pairs, const ResilientConfig& cfg) {
   const hw::AcceleratorConfig& hw_cfg = cfg_.device.accel;
   WFASIC_REQUIRE(pairs.size() <= (cfg.backtrace ? (1u << 23) : (1u << 16)),

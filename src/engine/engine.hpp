@@ -13,10 +13,10 @@
 //     decode batch N-1 overlap the aligning of batch N, so the reported
 //     pipeline_cycles is the makespan of that schedule, not the serial
 //     sum (pipelined_makespan below);
-//   - run_resilient() rehomes the driver's fault-tolerant flow onto the
-//     queues: kTimeout/kDmaError completions requeue through bisection
-//     across whichever device is free, and pairs the hardware cannot
-//     complete land on the SwBackend as the terminal fallback.
+//   - run_resilient() is the fault-tolerant flow on the queues:
+//     kTimeout/kDmaError completions requeue through bisection across
+//     whichever device is free, and pairs the hardware cannot complete
+//     land on the SwBackend as the terminal fallback.
 // See docs/ENGINE.md for the full design.
 #pragma once
 
@@ -27,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/align_result.hpp"
 #include "engine/backend.hpp"
 #include "engine/health.hpp"
 #include "engine/hw_backend.hpp"
@@ -71,6 +72,46 @@ struct PhaseSample {
 [[nodiscard]] std::uint64_t pipelined_makespan(
     std::span<const PhaseSample> jobs, unsigned num_devices,
     unsigned slots_per_device = 2);
+
+/// One pair's final outcome from Engine::run_resilient.
+struct PairOutcome {
+  std::uint32_t id = 0;
+  bool resolved = false;      ///< a trustworthy result was produced
+  core::AlignResult result;   ///< score + CIGAR (CIGAR in BT mode only)
+  bool cpu_fallback = false;  ///< resolved by the software backend
+  unsigned hw_attempts = 0;   ///< hardware launches that included it
+};
+
+struct ResilientConfig {
+  bool backtrace = true;  ///< BT mode: CIGARs + deep stream self-checks
+  /// Per-launch wait budget; generous, the watchdog usually fires first.
+  std::uint64_t launch_cycle_budget = 50'000'000;
+  unsigned max_launches = 256;      ///< overall guard across retries
+  unsigned singleton_attempts = 2;  ///< hw tries for an isolated pair
+  /// Per-pair hardware launch budget (0 = unlimited): a pair included
+  /// in this many launches without a verified result degrades to the
+  /// software path.
+  unsigned pair_attempt_budget = 0;
+  /// Per-pair accelerator-cycle deadline (0 = off): once the launches a
+  /// pair rode have spent this many device cycles without resolving
+  /// it, it degrades to the software path.
+  std::uint64_t pair_cycle_deadline = 0;
+};
+
+struct ResilientReport {
+  std::vector<PairOutcome> outcomes;  ///< one per input pair, in order
+  std::uint64_t total_cycles = 0;     ///< accelerator cycles, all launches
+  unsigned launches = 0;
+  unsigned retries = 0;  ///< launches beyond the first
+  unsigned cpu_fallbacks = 0;
+
+  [[nodiscard]] bool complete() const {
+    for (const PairOutcome& o : outcomes) {
+      if (!o.resolved) return false;
+    }
+    return true;
+  }
+};
 
 class Engine {
  public:
@@ -144,15 +185,17 @@ class Engine {
       bool backtrace, bool separate_data);
 
   // --- Resilient execution --------------------------------------------------
-  using PairOutcome = drv::Driver::PairOutcome;
-  using ResilientConfig = drv::Driver::ResilientConfig;
-  using ResilientReport = drv::Driver::ResilientReport;
-
   /// Runs `pairs` to completion in the face of faults, on the engine's
-  /// queues: tolerant jobs harvest every verifiable result; failing
-  /// segments bisect and requeue (re-encoding repairs input corruption);
-  /// pairs the hardware cannot complete fall back to the SwBackend.
-  /// Semantics match drv::Driver::run_batch_resilient.
+  /// queues. Each launch is a tolerant job that harvests every verifiable
+  /// result (drv::harvest_verified_results); failing segments bisect and
+  /// requeue on whichever device is free until the poisoned pairs are
+  /// isolated (re-encoding each launch repairs input-region corruption);
+  /// pairs the hardware cannot complete (oversized or unsupported reads,
+  /// band overflows, persistent faults, exhausted budgets) fall back to
+  /// the SwBackend. Every pair ends up resolved, with CIGARs that agree
+  /// with the core::wfa reference. Deterministic given a deterministic
+  /// fault schedule. This is the only resilient-run implementation; the
+  /// driver below it programs, waits, classifies and decodes.
   ResilientReport run_resilient(std::span<const gen::SequencePair> pairs,
                                 const ResilientConfig& cfg = {});
 

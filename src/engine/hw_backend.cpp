@@ -255,8 +255,7 @@ void HwBackend::complete_active() {
   active_.reset();
 
   const std::uint64_t elapsed = accelerator_->now() - active.start_cycle;
-  const drv::RunStatus status =
-      driver_.classify_run(elapsed, accelerator_->idle());
+  const drv::RunStatus status = driver_.classify(elapsed, accelerator_->idle());
   // A watchdog/DMA abort leaves the device flushed and idle; only a
   // wait-budget timeout needs an explicit soft reset before relaunching.
   if (!accelerator_->idle()) driver_.soft_reset();

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "common/prng.hpp"
@@ -28,7 +29,8 @@ struct BtFixture {
 
   BatchLayout run(const std::vector<gen::SequencePair>& pairs) {
     const BatchLayout layout =
-        encode_input_set(memory, pairs, 0x1000, 0x1000000);
+        encode_input_set(memory, pairs, 0x1000, 0x1000000,
+                         /*force_max_read_len=*/0, cfg.crc, /*crc_salt=*/7);
     Driver driver(accel);
     driver.start(layout, /*backtrace=*/true);
     (void)driver.wait_idle();
@@ -187,6 +189,100 @@ TEST(BacktraceCpu, PureGapAlignment) {
       reconstruct_alignment(parsed[0], a, b, f.cfg);
   EXPECT_EQ(rebuilt.cigar, software_wfa(a, b).cigar);
   EXPECT_EQ(rebuilt.cigar.counts().insertions, 4u);
+}
+
+// --- CPU cost contract of the strict parser --------------------------------
+// drv.sim_bt_cycles (and with it the modeled time of every BT run) is
+// priced from these counters, so their exact values are pinned here.
+
+TEST(BacktraceCpu, SeparateMethodChargesEveryBeatFootersIncluded) {
+  hw::AcceleratorConfig cfg;
+  cfg.crc = true;
+  cfg.num_aligners = 2;
+  BtFixture f(cfg);
+  const auto pairs = gen::generate_input_set({200, 0.10, 6, 27});
+  const std::uint64_t before = f.accel.dma().beats_written();
+  const BatchLayout layout = f.run(pairs);
+  const std::uint64_t beats = f.accel.dma().beats_written() - before;
+  cpu::BtCpuCounters counters;
+  const auto parsed =
+      parse_bt_stream(f.memory, layout.out_addr, pairs.size(),
+                      /*separate=*/true, &counters, layout.crc,
+                      layout.crc_salt);
+  ASSERT_EQ(parsed.size(), pairs.size());
+  EXPECT_EQ(counters.blocks_scanned, beats);
+  EXPECT_EQ(counters.blocks_copied, beats);
+  EXPECT_EQ(counters.alignments, pairs.size());
+}
+
+TEST(BacktraceCpu, SingleMethodChargesBinarySearchProbesPerAlignment) {
+  for (const bool crc : {false, true}) {
+    hw::AcceleratorConfig cfg;
+    cfg.crc = crc;
+    BtFixture f(cfg);
+    const auto pairs = gen::generate_input_set({150, 0.08, 6, 28});
+    const BatchLayout layout = f.run(pairs);
+    cpu::BtCpuCounters counters;
+    const auto parsed =
+        parse_bt_stream(f.memory, layout.out_addr, pairs.size(),
+                        /*separate=*/false, &counters, layout.crc,
+                        layout.crc_salt);
+    ASSERT_EQ(parsed.size(), pairs.size());
+    // 2 + floor(log2(payload_txns + 1)) probes per alignment.
+    std::uint64_t expected = 0;
+    for (const BtAlignment& bt : parsed) {
+      expected += 2;
+      for (std::size_t span = bt.payload.size() / hw::kBtPayloadBytes + 1;
+           span > 1; span /= 2) {
+        ++expected;
+      }
+    }
+    EXPECT_EQ(counters.blocks_scanned, expected) << "crc=" << crc;
+    EXPECT_EQ(counters.blocks_copied, 0u) << "crc=" << crc;
+    EXPECT_EQ(counters.alignments, pairs.size()) << "crc=" << crc;
+  }
+}
+
+TEST(BacktraceCpu, StrictAndTolerantParsersAgreeOnCleanStreams) {
+  for (const bool crc : {false, true}) {
+    for (const unsigned aligners : {1u, 2u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "crc=" << crc << " aligners=" << aligners);
+      hw::AcceleratorConfig cfg;
+      cfg.crc = crc;
+      cfg.num_aligners = aligners;
+      BtFixture f(cfg);
+      const auto pairs = gen::generate_input_set({180, 0.10, 7, 29});
+      const std::uint64_t before = f.accel.dma().beats_written();
+      const BatchLayout layout = f.run(pairs);
+      const std::uint64_t beats = f.accel.dma().beats_written() - before;
+
+      const auto strict =
+          parse_bt_stream(f.memory, layout.out_addr, pairs.size(),
+                          /*separate=*/aligners > 1, nullptr, layout.crc,
+                          layout.crc_salt);
+      const BtStreamScan scan = try_parse_bt_stream(
+          f.memory, layout.out_addr, beats * mem::kBeatBytes, pairs.size(),
+          layout.crc, layout.crc_salt);
+      EXPECT_TRUE(scan.clean);
+      EXPECT_EQ(scan.why, nullptr);
+      EXPECT_EQ(scan.beats_read, beats);
+      EXPECT_TRUE(aligners > 1 || !scan.interleaved);
+
+      std::map<std::uint32_t, const BtAlignment*> by_id;
+      for (const BtAlignment& bt : strict) by_id[bt.id] = &bt;
+      ASSERT_EQ(by_id.size(), pairs.size());
+      ASSERT_EQ(scan.alignments.size(), pairs.size());
+      for (const BtAlignment& bt : scan.alignments) {
+        ASSERT_TRUE(by_id.contains(bt.id)) << "id " << bt.id;
+        const BtAlignment& other = *by_id.at(bt.id);
+        EXPECT_EQ(bt.success, other.success) << "id " << bt.id;
+        EXPECT_EQ(bt.score, other.score) << "id " << bt.id;
+        EXPECT_EQ(bt.k_reached, other.k_reached) << "id " << bt.id;
+        EXPECT_EQ(bt.payload, other.payload) << "id " << bt.id;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,15 +1,16 @@
 // Differential tests for the checkpoint/restore subsystem (ISSUE 9,
 // docs/RELIABILITY.md §7). Two families:
 //
-//  1. Bit-identity: a run that is checkpointed, or snapshotted mid-run and
-//     restored onto a *fresh* device, must finish observationally identical
-//     to an uninterrupted run — simulated cycle count, error state, the
-//     full PMU bank (all counters except the host-side
-//     host_idle_skipped_cycles diagnostic) and the complete output memory
-//     image — under both stepping strategies (exact / fast), across
-//     strategies (a blob saved under one strategy resumed under the
-//     other), and mid-fault-campaign with the injector runtime carried
-//     through a kStrict restore.
+//  1. Bit-identity: a run snapshotted mid-run and restored onto a *fresh*
+//     device must finish observationally identical to an uninterrupted
+//     run — simulated cycle count, error state, the full PMU bank (all
+//     counters except the host-side host_idle_skipped_cycles diagnostic)
+//     and the complete output memory image — under both stepping
+//     strategies (exact / fast), across strategies (a blob saved under one
+//     strategy resumed under the other), and mid-fault-campaign with the
+//     injector runtime carried through a kStrict restore. Periodic
+//     checkpointing, migration and rejected adoption of a whole run are
+//     engine features, tested as EngineRecovery.* in test_engine.cpp.
 //
 //  2. Blob hardening: corrupted, truncated, version-skewed, config-skewed
 //     and garbage blobs must be rejected with the right typed
@@ -133,28 +134,6 @@ Observation reference_run(const std::vector<gen::SequencePair>& pairs,
 // Bit-identity under checkpointing.
 // ---------------------------------------------------------------------------
 
-TEST(CheckpointEquivalence, CheckpointedWaitBitIdentical) {
-  // wait_idle_checkpointed slices the wait into interval-sized
-  // run_until_event calls and snapshots at every in-flight boundary; the
-  // capture must never perturb the simulation.
-  for (const bool backtrace : {false, true}) {
-    const auto pairs = make_pairs(backtrace ? 902 : 901, 5, 140, 0.07);
-    for (const StepStrategy s : kAllStrategies) {
-      const Observation plain = reference_run(pairs, backtrace, s);
-      Device d(s);
-      launch(d, pairs, backtrace);
-      const drv::Driver::CheckpointRun run =
-          d.driver.wait_idle_checkpointed(/*checkpoint_interval=*/1000);
-      EXPECT_TRUE(run.status.completed());
-      EXPECT_GT(run.status.checkpoints, 0u)
-          << "run too short to checkpoint at interval 1000";
-      EXPECT_FALSE(run.last_checkpoint.empty());
-      EXPECT_EQ(plain, observe(d))
-          << "strategy: " << strategy_name(s) << ", bt=" << backtrace;
-    }
-  }
-}
-
 TEST(CheckpointEquivalence, MidRunRestoreResumesBitIdentical) {
   // Snapshot mid-run, restore onto a freshly constructed device, resume:
   // the migrated run must finish bit-identically to the uninterrupted
@@ -252,36 +231,6 @@ TEST(CheckpointEquivalence, MidFaultCampaignRestoreBitIdentical) {
         << "seed " << seed;
     (void)dst.driver.wait_idle();
     EXPECT_EQ(ref, observe(dst)) << "seed " << seed;
-  }
-}
-
-TEST(CheckpointEquivalence, FailoverDrillThroughDriver) {
-  // The drv-level failover drill: run the source device under periodic
-  // checkpointing until it is "lost" (wait budget exhausted mid-run),
-  // then hand its last checkpoint to a brand-new device via
-  // resume_checkpointed. The resumed run must complete bit-identically
-  // and the recovery accounting must show up on RunStatus.
-  const auto pairs = make_pairs(941, 5, 140, 0.07);
-  for (const StepStrategy s : kAllStrategies) {
-    const Observation ref = reference_run(pairs, /*backtrace=*/true, s);
-    const std::uint64_t interval = ref.final_now / 6 + 1;
-
-    Device src(s);
-    launch(src, pairs, true);
-    const drv::Driver::CheckpointRun lost = src.driver.wait_idle_checkpointed(
-        interval, /*max_cycles=*/interval * 3);
-    ASSERT_EQ(lost.status.outcome, drv::RunOutcome::kTimeout)
-        << "strategy: " << strategy_name(s);
-    ASSERT_FALSE(lost.last_checkpoint.empty());
-    ASSERT_GT(lost.status.checkpoints, 0u);
-
-    Device dst(s);
-    const drv::Driver::CheckpointRun resumed =
-        dst.driver.resume_checkpointed(lost.last_checkpoint, interval);
-    EXPECT_FALSE(resumed.restore_error.has_value());
-    EXPECT_TRUE(resumed.status.completed());
-    EXPECT_EQ(resumed.status.restores, 1u);
-    EXPECT_EQ(ref, observe(dst)) << "strategy: " << strategy_name(s);
   }
 }
 
@@ -464,19 +413,6 @@ TEST(SnapshotFuzz, RejectedRestoreLeavesMidRunTargetUntouched) {
   EXPECT_EQ(d.accel.restore(bad), sim::SnapshotError::kCrcMismatch);
   (void)d.driver.wait_idle();
   EXPECT_EQ(ref, observe(d));
-}
-
-TEST(SnapshotFuzz, DriverResumeRejectsCorruptBlobLoudly) {
-  std::vector<std::uint8_t> bad = make_fuzz_blob();
-  bad[12] ^= 0x01;
-  Device d(StepStrategy::kExact);
-  const drv::Driver::CheckpointRun run =
-      d.driver.resume_checkpointed(bad, /*checkpoint_interval=*/1000);
-  ASSERT_TRUE(run.restore_error.has_value());
-  EXPECT_EQ(*run.restore_error, sim::SnapshotError::kCrcMismatch);
-  EXPECT_EQ(run.status.outcome, drv::RunOutcome::kDataError);
-  EXPECT_EQ(run.status.restores, 0u);
-  EXPECT_TRUE(d.accel.idle()) << "nothing may be resumed from a bad blob";
 }
 
 }  // namespace

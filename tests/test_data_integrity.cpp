@@ -16,6 +16,7 @@
 #include "core/wfa.hpp"
 #include "drv/backtrace_cpu.hpp"
 #include "drv/driver.hpp"
+#include "engine/engine.hpp"
 #include "gen/seqgen.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/input_format.hpp"
@@ -529,9 +530,10 @@ TEST(ErrRegs, PerRunErrCountSnapshotResetsBetweenRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// Mixed campaign at the driver level: every fault class at once, ECC+CRC
-// on, zero silent corruptions across seeds (the 200-seed version runs in
-// tools/run_fault_campaign.sh; this is the in-tree smoke slice).
+// Mixed campaign on a K=1 engine's resilient path: every fault class at
+// once, ECC+CRC on, zero silent corruptions across seeds (the 200-seed
+// version runs in tools/run_fault_campaign.sh; this is the in-tree smoke
+// slice).
 
 TEST(MixedCampaign, NoSilentCorruptionWithEccAndCrc) {
   const auto pairs = make_pairs(10, 120, 1234);
@@ -542,11 +544,14 @@ TEST(MixedCampaign, NoSilentCorruptionWithEccAndCrc) {
   for (const auto& pair : pairs) expected.push_back(ref.align(pair.a, pair.b));
 
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    mem::MainMemory memory(32 << 20);
-    hw::AcceleratorConfig cfg;
-    cfg.ecc = true;
-    cfg.crc = true;
-    hw::Accelerator accel(cfg, memory);
+    engine::EngineConfig cfg;
+    cfg.device.memory_bytes = 32 << 20;
+    cfg.device.in_addr = kInAddr;
+    cfg.device.out_addr = kOutAddr;
+    cfg.device.watchdog = 20'000;
+    cfg.device.accel.ecc = true;
+    cfg.device.accel.crc = true;
+    engine::Engine eng(cfg);
     sim::FaultInjector::CampaignConfig fc;
     fc.mem_begin = kInAddr;
     fc.mem_end = kInAddr + 64 * 1024;
@@ -560,11 +565,9 @@ TEST(MixedCampaign, NoSilentCorruptionWithEccAndCrc) {
     fc.write_beat_corruptions = 2;
     fc.write_beat_drops = 1;
     sim::FaultInjector injector = sim::FaultInjector::make_campaign(seed, fc);
-    accel.attach_fault_injector(&injector);
+    eng.device(0).attach_fault_injector(&injector);
 
-    drv::Driver driver(accel);
-    const drv::Driver::ResilientReport report = driver.run_batch_resilient(
-        memory, pairs, kInAddr, kOutAddr, drv::Driver::ResilientConfig{});
+    const engine::ResilientReport report = eng.run_resilient(pairs);
     ASSERT_TRUE(report.complete()) << "seed " << seed;
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       EXPECT_EQ(report.outcomes[i].result.score, expected[i].score)

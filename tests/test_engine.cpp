@@ -324,12 +324,12 @@ TEST(Engine, ResilientCompletesUnderFaultCampaignWithRequeues) {
         sim::FaultInjector::make_campaign(0x5eed, campaign);
     engine.device(0).attach_fault_injector(&injector);
 
-    Engine::ResilientConfig rc;
+    ResilientConfig rc;
     rc.launch_cycle_budget = 2'000'000;
     return engine.run_resilient(pairs, rc);
   };
 
-  const Engine::ResilientReport report = run_campaign();
+  const ResilientReport report = run_campaign();
   EXPECT_TRUE(report.complete());
   EXPECT_GT(report.launches, 1u);  // the campaign forced requeues
   EXPECT_GT(report.retries, 0u);
@@ -342,7 +342,7 @@ TEST(Engine, ResilientCompletesUnderFaultCampaignWithRequeues) {
   }
 
   // The campaign and the requeue schedule replay bit-identically.
-  const Engine::ResilientReport replay = run_campaign();
+  const ResilientReport replay = run_campaign();
   EXPECT_EQ(replay.launches, report.launches);
   EXPECT_EQ(replay.retries, report.retries);
   EXPECT_EQ(replay.cpu_fallbacks, report.cpu_fallbacks);
@@ -361,7 +361,7 @@ TEST(Engine, ResilientRoutesOversizedPairsToSoftwareBackend) {
   pairs.push_back({1, std::move(a1), b1});
 
   Engine engine{EngineConfig{}};
-  const Engine::ResilientReport report = engine.run_resilient(pairs);
+  const ResilientReport report = engine.run_resilient(pairs);
   EXPECT_TRUE(report.complete());
   EXPECT_FALSE(report.outcomes[0].cpu_fallback);
   EXPECT_TRUE(report.outcomes[1].cpu_fallback);
@@ -545,6 +545,122 @@ TEST(EngineRecovery, PreemptThenCancelDropsTheParkedJob) {
   next.pairs = fresh;
   const Completion done = engine.wait(engine.submit(std::move(next)));
   EXPECT_EQ(done.outcome, drv::RunOutcome::kOk);
+}
+
+TEST(EngineRecovery, CheckpointingIsBitIdenticalToOff) {
+  // Periodic checkpoints are taken at poll boundaries, which are safe
+  // points: a run with checkpointing on must be observationally identical
+  // to the same run with it off — results, device cycles, the full PMU
+  // bank and the device memory image — for BT and NBT, under exact
+  // stepping and the fast path.
+  struct Run {
+    Completion done;
+    std::uint64_t device_now = 0;
+    std::uint64_t checkpoints = 0;
+    std::vector<std::uint8_t> memory;
+  };
+  const auto run = [](const std::vector<gen::SequencePair>& pairs,
+                      bool backtrace, bool idle_skip,
+                      std::uint64_t checkpoint_interval) {
+    EngineConfig cfg;
+    cfg.device.memory_bytes = 8u << 20;
+    cfg.device.out_addr = 0x40'0000;
+    cfg.device.poll_quantum = 512;  // many poll boundaries per run
+    cfg.device.checkpoint_interval = checkpoint_interval;
+    cfg.device.accel.idle_skip = idle_skip;
+    Engine engine(cfg);
+    BatchJob job;
+    job.pairs = pairs;
+    job.backtrace = backtrace;
+    Run r;
+    r.done = engine.wait(engine.submit(std::move(job)));
+    r.device_now = engine.device(0).accelerator().now();
+    r.checkpoints = engine.metrics().recovery.checkpoints;
+    r.memory.resize(cfg.device.memory_bytes);
+    engine.device(0).memory().read(0, r.memory);
+    return r;
+  };
+
+  for (const bool backtrace : {false, true}) {
+    const auto pairs =
+        gen::generate_input_set({140, 0.07, 5, backtrace ? 902u : 901u});
+    for (const bool idle_skip : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "bt=" << backtrace << " idle_skip=" << idle_skip);
+      const Run off = run(pairs, backtrace, idle_skip, 0);
+      const Run on = run(pairs, backtrace, idle_skip, 1000);
+      EXPECT_EQ(off.done.outcome, drv::RunOutcome::kOk);
+      EXPECT_EQ(off.checkpoints, 0u);
+      EXPECT_GT(on.checkpoints, 0u)
+          << "run too short to checkpoint at interval 1000";
+      EXPECT_EQ(on.done.outcome, off.done.outcome);
+      EXPECT_EQ(on.done.accel_cycles, off.done.accel_cycles);
+      EXPECT_EQ(on.device_now, off.device_now);
+      EXPECT_EQ(on.done.perf, off.done.perf);
+      ASSERT_EQ(on.done.result.alignments.size(), pairs.size());
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const core::AlignResult& x = on.done.result.alignments[i];
+        const core::AlignResult& y = off.done.result.alignments[i];
+        EXPECT_EQ(x.ok, y.ok) << i;
+        EXPECT_EQ(x.score, y.score) << i;
+        EXPECT_EQ(x.cigar, y.cigar) << i;
+      }
+      EXPECT_TRUE(on.memory == off.memory) << "device memory images differ";
+    }
+  }
+}
+
+TEST(EngineRecovery, AdoptRejectsCorruptCheckpoint) {
+  // A migration whose checkpoint blob was damaged in transit must never
+  // resume: the adopting backend completes it as kDataError without
+  // counting a restore, leaves its device idle, and runs the next job
+  // normally.
+  HwBackendConfig cfg;
+  cfg.memory_bytes = 8u << 20;
+  cfg.out_addr = 0x40'0000;
+  Prng prng(0x9ee3);
+  std::string a = gen::random_sequence(prng, 4000);
+  const std::string b = gen::mutate_sequence(prng, a, 0.10);
+
+  HwBackend source(cfg);
+  BatchJob job;
+  job.pairs.push_back({0, std::move(a), b});
+  const JobHandle h = source.submit(std::move(job));
+  EXPECT_TRUE(source.poll());  // launch + first quantum
+  std::optional<HwBackend::Migration> migration = source.preempt(h);
+  ASSERT_TRUE(migration.has_value());
+  std::vector<std::uint8_t>& blob = migration->job.checkpoint;
+  ASSERT_FALSE(blob.empty());
+  blob[blob.size() / 2] ^= 0x40;
+
+  HwBackend target(cfg);
+  const JobHandle adopted = target.adopt(std::move(*migration));
+  while (target.poll()) {
+  }
+  std::vector<Completion> done = target.drain();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].handle.value, adopted.value);
+  EXPECT_EQ(done[0].outcome, drv::RunOutcome::kDataError);
+  EXPECT_EQ(done[0].restores, 0u);
+  EXPECT_TRUE(target.accelerator().idle())
+      << "nothing may be resumed from a bad blob";
+
+  const auto fresh = gen::generate_input_set({150, 0.08, 4, 184});
+  BatchJob next;
+  next.pairs = fresh;
+  const JobHandle h_next = target.submit(std::move(next));
+  while (target.poll()) {
+  }
+  done = target.drain();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].handle.value, h_next.value);
+  EXPECT_EQ(done[0].outcome, drv::RunOutcome::kOk);
+  ASSERT_EQ(done[0].result.alignments.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(done[0].result.alignments[i].score,
+              reference_alignment(fresh[i], kDefaultPenalties, false).score)
+        << i;
+  }
 }
 
 TEST(PipelinedMakespan, OverlapsPhasesAndRespectsBounds) {

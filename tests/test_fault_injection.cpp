@@ -9,7 +9,8 @@
 //   1. the accelerator never spins to the 4-billion-cycle deadlock guard —
 //      every fault ends in an error interrupt with kRegErrStatus naming
 //      the cause;
-//   2. the driver's retry/bisection/CPU-fallback path completes every
+//   2. the engine's retry/bisection/CPU-fallback path (a K=1
+//      engine::Engine::run_resilient over the same device) completes every
 //      batch with scores and CIGARs identical to the software core::wfa
 //      reference;
 //   3. campaigns replay exactly: the same (seed, config) produces a
@@ -22,6 +23,7 @@
 #include "common/prng.hpp"
 #include "core/wfa.hpp"
 #include "drv/driver.hpp"
+#include "engine/engine.hpp"
 #include "gen/seqgen.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/regs.hpp"
@@ -46,6 +48,17 @@ std::vector<gen::SequencePair> make_pairs(std::size_t count,
   return pairs;
 }
 
+/// A one-device engine over this file's memory map. The 20k-cycle
+/// watchdog turns a starved or stalled launch into a fast abort.
+engine::EngineConfig one_device() {
+  engine::EngineConfig cfg;
+  cfg.device.memory_bytes = 16 << 20;
+  cfg.device.in_addr = kInAddr;
+  cfg.device.out_addr = kOutAddr;
+  cfg.device.watchdog = 20'000;
+  return cfg;
+}
+
 core::AlignResult reference_alignment(const gen::SequencePair& pair,
                                       const Penalties& pen) {
   core::WfaConfig cfg;
@@ -56,12 +69,12 @@ core::AlignResult reference_alignment(const gen::SequencePair& pair,
   return aligner.align(pair.a, pair.b);
 }
 
-void expect_matches_reference(const Driver::ResilientReport& report,
+void expect_matches_reference(const engine::ResilientReport& report,
                               const std::vector<gen::SequencePair>& pairs,
                               const Penalties& pen) {
   ASSERT_EQ(report.outcomes.size(), pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const Driver::PairOutcome& out = report.outcomes[i];
+    const engine::PairOutcome& out = report.outcomes[i];
     const core::AlignResult ref = reference_alignment(pairs[i], pen);
     EXPECT_TRUE(out.resolved) << "pair " << i;
     EXPECT_EQ(out.result.ok, ref.ok) << "pair " << i;
@@ -200,17 +213,16 @@ TEST(FaultInjection, PermanentFifoStallIsCaughtByWatchdog) {
 
 // ---------------------------------------------------------------------------
 // Memory corruption: detected by the decode self-checks, repaired by the
-// driver's re-encode + retry.
+// engine's re-encode + retry.
 
 TEST(FaultInjection, InputBitFlipDetectedAndRepairedByRetry) {
-  mem::MainMemory memory(16 << 20);
-  hw::AcceleratorConfig cfg;
-  hw::Accelerator accel(cfg, memory);
+  engine::Engine eng(one_device());
+  const hw::AcceleratorConfig& cfg = eng.config().device.accel;
 
   const auto pairs = make_pairs(1, 120);
 
   // Flip bit 3 of the length-of-a header field (120 -> 112) at cycle 0:
-  // after the driver encodes, before the DMA reads it. The hardware then
+  // after the engine encodes, before the DMA reads it. The hardware then
   // aligns a truncated sequence; the reconstructed path stops short of the
   // real sequence ends, so the decode self-checks reject the result.
   sim::FaultInjector injector;
@@ -220,12 +232,9 @@ TEST(FaultInjection, InputBitFlipDetectedAndRepairedByRetry) {
   ev.addr = kInAddr + 16;  // section 1: length of a (little-endian u32)
   ev.bit = 3;
   injector.schedule(ev);
-  accel.attach_fault_injector(&injector);
-  accel.write_reg(hw::kRegWatchdog, 20'000);
+  eng.device(0).attach_fault_injector(&injector);
 
-  Driver driver(accel);
-  const Driver::ResilientReport report =
-      driver.run_batch_resilient(memory, pairs, kInAddr, kOutAddr);
+  const engine::ResilientReport report = eng.run_resilient(pairs);
 
   // The corrupted launch produced a stream inconsistent with the real
   // sequences; the retry re-encoded (repairing the flip) and succeeded.
@@ -238,8 +247,8 @@ TEST(FaultInjection, InputBitFlipDetectedAndRepairedByRetry) {
 }
 
 // ---------------------------------------------------------------------------
-// The full campaign: every fault class at once, against the resilient
-// driver. The batch must complete with reference-identical CIGARs.
+// The full campaign: every fault class at once, against the engine's
+// resilient path. The batch must complete with reference-identical CIGARs.
 
 struct CampaignOutcome {
   std::vector<sim::FaultEvent> schedule;
@@ -256,9 +265,7 @@ struct CampaignOutcome {
 
 CampaignOutcome run_campaign(std::uint64_t seed,
                              std::vector<gen::SequencePair> pairs) {
-  mem::MainMemory memory(16 << 20);
-  hw::AcceleratorConfig cfg;
-  hw::Accelerator accel(cfg, memory);
+  engine::Engine eng(one_device());
 
   sim::FaultInjector::CampaignConfig fc;
   fc.mem_begin = kInAddr;
@@ -272,12 +279,9 @@ CampaignOutcome run_campaign(std::uint64_t seed,
   fc.beat_corruptions = 2;
   fc.fifo_stalls = 1;
   sim::FaultInjector injector = sim::FaultInjector::make_campaign(seed, fc);
-  accel.attach_fault_injector(&injector);
-  accel.write_reg(hw::kRegWatchdog, 20'000);
+  eng.device(0).attach_fault_injector(&injector);
 
-  Driver driver(accel);
-  const Driver::ResilientReport report =
-      driver.run_batch_resilient(memory, pairs, kInAddr, kOutAddr);
+  const engine::ResilientReport report = eng.run_resilient(pairs);
 
   CampaignOutcome outcome;
   outcome.schedule = injector.events();
@@ -285,7 +289,7 @@ CampaignOutcome run_campaign(std::uint64_t seed,
   outcome.retries = report.retries;
   outcome.cpu_fallbacks = report.cpu_fallbacks;
   outcome.total_cycles = report.total_cycles;
-  for (const Driver::PairOutcome& o : report.outcomes) {
+  for (const engine::PairOutcome& o : report.outcomes) {
     outcome.scores.push_back(o.result.score);
     outcome.cigars.push_back(o.result.cigar.rle());
   }
@@ -297,9 +301,8 @@ TEST(FaultInjection, ResilientCampaignCompletesWithReferenceCigars) {
   auto pairs = make_pairs(24, 100);
   pairs[5].a[20] = 'N';  // unsupported read: hardware rejects, CPU resolves
 
-  mem::MainMemory memory(16 << 20);
-  hw::AcceleratorConfig cfg;
-  hw::Accelerator accel(cfg, memory);
+  engine::Engine eng(one_device());
+  const hw::AcceleratorConfig& cfg = eng.config().device.accel;
 
   sim::FaultInjector::CampaignConfig fc;
   fc.mem_begin = kInAddr;
@@ -314,12 +317,9 @@ TEST(FaultInjection, ResilientCampaignCompletesWithReferenceCigars) {
   fc.fifo_stalls = 1;
   sim::FaultInjector injector =
       sim::FaultInjector::make_campaign(0xfeed, fc);
-  accel.attach_fault_injector(&injector);
-  accel.write_reg(hw::kRegWatchdog, 20'000);
+  eng.device(0).attach_fault_injector(&injector);
 
-  Driver driver(accel);
-  const Driver::ResilientReport report =
-      driver.run_batch_resilient(memory, pairs, kInAddr, kOutAddr);
+  const engine::ResilientReport report = eng.run_resilient(pairs);
 
   EXPECT_TRUE(report.complete());
   EXPECT_GE(report.launches, 2u);        // faults forced at least one retry

@@ -246,7 +246,7 @@ TEST(Health, QuarantineScheduleIsDeterministicAcrossReplays) {
   const auto pairs = gen::generate_input_set({150, 0.1, 12, 34});
 
   struct Snapshot {
-    Engine::ResilientReport report;
+    ResilientReport report;
     std::vector<DeviceScoreboard> boards;
   };
   auto run_campaign = [&](unsigned k) {
@@ -273,7 +273,7 @@ TEST(Health, QuarantineScheduleIsDeterministicAcrossReplays) {
       engine.device(dev).attach_fault_injector(&injectors[dev]);
     }
 
-    Engine::ResilientConfig rc;
+    ResilientConfig rc;
     rc.launch_cycle_budget = 2'000'000;
     Snapshot snap{engine.run_resilient(pairs, rc), {}};
     for (unsigned dev = 0; dev < k; ++dev) {
@@ -357,9 +357,9 @@ TEST(Health, MixedCampaignWithEccAndCrcNeverCorruptsSilently) {
       engine.device(dev).attach_fault_injector(&injectors[dev]);
     }
 
-    Engine::ResilientConfig rc;
+    ResilientConfig rc;
     rc.launch_cycle_budget = 2'000'000;
-    const Engine::ResilientReport report = engine.run_resilient(pairs, rc);
+    const ResilientReport report = engine.run_resilient(pairs, rc);
     ASSERT_TRUE(report.complete()) << "seed " << seed;
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       EXPECT_EQ(report.outcomes[i].result.score, expected[i].score)
@@ -390,11 +390,11 @@ TEST(Health, PairAttemptBudgetDegradesToSoftware) {
   }
   engine.device(0).attach_fault_injector(&injector);
 
-  Engine::ResilientConfig rc;
+  ResilientConfig rc;
   rc.backtrace = false;  // NBT: two write beats per launch, all damaged
   rc.launch_cycle_budget = 2'000'000;
   rc.pair_attempt_budget = 2;
-  const Engine::ResilientReport report = engine.run_resilient(pairs, rc);
+  const ResilientReport report = engine.run_resilient(pairs, rc);
   ASSERT_TRUE(report.complete());
   EXPECT_GT(report.cpu_fallbacks, 0u);
   for (std::size_t i = 0; i < pairs.size(); ++i) {

@@ -100,7 +100,7 @@ PmuRun run_batch(const std::vector<gen::SequencePair>& pairs, bool backtrace,
         accel.step();
         ++spent;
       }
-      run.status = driver.classify_run(spent, accel.idle());
+      run.status = driver.classify(spent, accel.idle());
       break;
     }
     case Stepping::kBoundedQuanta: {
@@ -108,12 +108,12 @@ PmuRun run_batch(const std::vector<gen::SequencePair>& pairs, bool backtrace,
       while (!accel.idle() && spent < 4'000'000ULL) {
         spent += accel.step_many(777);
       }
-      run.status = driver.classify_run(spent, accel.idle());
+      run.status = driver.classify(spent, accel.idle());
       break;
     }
     case Stepping::kRunToCompletion: {
       const std::uint64_t spent = accel.run_to_completion();
-      run.status = driver.classify_run(spent, accel.idle());
+      run.status = driver.classify(spent, accel.idle());
       break;
     }
   }

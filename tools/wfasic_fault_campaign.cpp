@@ -450,10 +450,9 @@ int main(int argc, char** argv) {
       engine.device(dev).attach_fault_injector(&injectors[dev]);
     }
 
-    engine::Engine::ResilientConfig rc;
+    engine::ResilientConfig rc;
     rc.launch_cycle_budget = 2'000'000;
-    const engine::Engine::ResilientReport report =
-        engine.run_resilient(pairs, rc);
+    const engine::ResilientReport report = engine.run_resilient(pairs, rc);
 
     bool seed_ok = true;
     for (std::size_t i = 0; i < pairs.size(); ++i) {
