@@ -61,6 +61,7 @@ int main(int argc, char** argv) {
   bool ok = true;
   double bt_pipeline_speedup = 0;
   double nbt_shard_speedup = 0;
+  engine::BatchResult k1_bt{};
   for (const bool backtrace : {true, false}) {
     print_header(backtrace
                      ? "With backtrace (CPU decodes every BT stream)"
@@ -94,6 +95,7 @@ int main(int argc, char** argv) {
     print_rule(70);
 
     if (backtrace) {
+      k1_bt = k1;
       bt_pipeline_speedup = p1;
       // Acceptance: overlap must hide CPU work even against the legacy
       // sum that ignored encode entirely.
@@ -206,6 +208,13 @@ int main(int argc, char** argv) {
   report.metric("k4_nbt_sim_cycles",
                 static_cast<double>(fast.pipeline_cycles));
   report.metric("k4_nbt_gcups", k4_gcups);
+  // The BT section's K=1 device cycles and modeled CPU backtrace cycles:
+  // exact-gated like k4_nbt_sim_cycles, so a change to the BT datapath
+  // timing or to the CPU backtrace accounting fails CI.
+  report.metric("k1_bt_accel_sim_cycles",
+                static_cast<double>(k1_bt.accel_cycles));
+  report.metric("k1_bt_cpu_sim_cycles",
+                static_cast<double>(k1_bt.cpu_bt_cycles));
   report.metric("bt_pipeline_speedup", bt_pipeline_speedup);
   report.metric("nbt_shard_speedup", nbt_shard_speedup);
   report.metric("wall_ns_fast", static_cast<double>(wall_ns_fast));
