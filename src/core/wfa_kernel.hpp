@@ -1,5 +1,6 @@
 // The single-cell WFA compute kernel (Eq. 3) shared by the software aligner
-// (core/wfa.hpp) and the hardware Compute sub-module model (hw/compute_unit).
+// (core/wfa.hpp) and the hardware Compute sub-module model
+// (hw/compute_unit.hpp).
 //
 // Sharing one kernel guarantees that the accelerator model and the software
 // reference pick identical values AND identical provenance (origins), so the

@@ -69,14 +69,20 @@ struct BtStreamScan {
                                                bool crc = false,
                                                std::uint32_t crc_salt = 0);
 
-/// Strict parse of the stream at `out_addr`: try_parse_bt_stream bounded
-/// only by the memory size, plus checks on its verdict. Any anomaly —
-/// counter gap, missing or failing CRC footer, truncation — aborts with
-/// the scan's first anomaly. Returns the alignments in stream order.
+/// The strict checks on a scan's verdict, and the CPU cost of the parse.
+/// Any anomaly — counter gap, missing or failing CRC footer, truncation —
+/// aborts with the scan's first anomaly. Returns the alignments in stream
+/// order.
 ///
 /// `separate_data == false` is the single-Aligner method and *requires* a
 /// non-interleaved stream (aborts otherwise); `true` is the multi-Aligner
 /// method. The CPU cost of either method is charged to `counters`.
+[[nodiscard]] std::vector<BtAlignment> accept_bt_scan(
+    BtStreamScan scan, bool separate_data,
+    cpu::BtCpuCounters* counters = nullptr);
+
+/// Strict parse of the stream at `out_addr`: try_parse_bt_stream bounded
+/// only by the memory size, then accept_bt_scan.
 [[nodiscard]] std::vector<BtAlignment> parse_bt_stream(
     const mem::MainMemory& memory, std::uint64_t out_addr,
     std::size_t num_pairs, bool separate_data,

@@ -281,14 +281,14 @@ void HwBackend::complete_active() {
         active.staged.job.backtrace, active.staged.job.pairs,
         accelerator_->config());
   } else if (status.completed()) {
-    // With CRC transport protection on, pre-validate the result stream
-    // before the strict decoders see it: a record that fails its CRC
-    // should surface as a kDataError completion the engine can retry, not
-    // abort the host process inside parse/decode.
-    if (active.staged.layout.crc && !stream_verifies(active)) {
+    // With CRC transport protection on, a record that fails its CRC
+    // surfaces as a kDataError completion the engine can retry, not as an
+    // abort of the host process inside the strict decode.
+    ResultStream stream = read_results(active);
+    if (!stream.verified) {
       completion.outcome = drv::RunOutcome::kDataError;
     } else {
-      decode_into(completion, active, status);
+      decode_into(completion, active, status, std::move(stream));
     }
   }
   if (!completion.completed_run() && !active.staged.job.tolerant &&
@@ -353,37 +353,48 @@ JobHandle HwBackend::adopt(Migration migration) {
   return handle;
 }
 
-bool HwBackend::stream_verifies(const ActiveJob& active) const {
+HwBackend::ResultStream HwBackend::read_results(
+    const ActiveJob& active) const {
   const drv::BatchLayout& layout = active.staged.layout;
   const std::uint64_t beat_delta =
       accelerator_->dma().beats_written() - active.beats_before;
-  if (active.staged.job.backtrace) {
-    const drv::BtStreamScan scan = drv::try_parse_bt_stream(
-        *memory_, layout.out_addr, beat_delta * mem::kBeatBytes,
-        layout.num_pairs, layout.crc, layout.crc_salt);
-    if (!scan.clean || scan.alignments.size() != layout.num_pairs) {
-      return false;
-    }
-    std::vector<bool> seen(layout.num_pairs, false);
-    for (const drv::BtAlignment& bt : scan.alignments) {
-      if (bt.id >= layout.num_pairs || seen[bt.id]) return false;
-      seen[bt.id] = true;
-    }
-    return true;
-  }
-  const std::vector<hw::NbtResult> words =
-      drv::decode_nbt_results_partial(*memory_, layout, beat_delta);
-  if (words.size() != layout.num_pairs) return false;
+  ResultStream stream;
+  std::size_t records = 0;
   std::vector<bool> seen(layout.num_pairs, false);
-  for (const hw::NbtResult& nbt : words) {
-    if (nbt.id >= layout.num_pairs || seen[nbt.id]) return false;
-    seen[nbt.id] = true;
+  const auto see = [&](std::uint32_t id) {
+    ++records;
+    if (id >= seen.size() || seen[id]) {
+      stream.verified = false;
+    } else {
+      seen[id] = true;
+    }
+  };
+  if (active.staged.job.backtrace) {
+    const std::uint64_t max_bytes = layout.crc
+                                        ? beat_delta * mem::kBeatBytes
+                                        : memory_->size() - layout.out_addr;
+    stream.bt = drv::try_parse_bt_stream(*memory_, layout.out_addr,
+                                         max_bytes, layout.num_pairs,
+                                         layout.crc, layout.crc_salt);
+    if (!layout.crc) return stream;
+    if (!stream.bt.clean) stream.verified = false;
+    for (const drv::BtAlignment& bt : stream.bt.alignments) see(bt.id);
+  } else {
+    if (!layout.crc) {
+      stream.nbt = drv::decode_nbt_results(*memory_, layout);
+      return stream;
+    }
+    stream.nbt = drv::decode_nbt_results_partial(*memory_, layout,
+                                                 beat_delta);
+    for (const hw::NbtResult& nbt : stream.nbt) see(nbt.id);
   }
-  return true;
+  if (records != layout.num_pairs) stream.verified = false;
+  return stream;
 }
 
 void HwBackend::decode_into(Completion& completion, const ActiveJob& active,
-                            const drv::RunStatus& status) {
+                            const drv::RunStatus& status,
+                            ResultStream stream) {
   const BatchJob& job = active.staged.job;
   const drv::BatchLayout& layout = active.staged.layout;
   BatchResult& result = completion.result;
@@ -417,9 +428,8 @@ void HwBackend::decode_into(Completion& completion, const ActiveJob& active,
 
   result.alignments.resize(job.pairs.size());
   if (job.backtrace) {
-    const std::vector<drv::BtAlignment> parsed = drv::parse_bt_stream(
-        *memory_, layout.out_addr, layout.num_pairs, job.separate_data,
-        &result.bt_counters, layout.crc, layout.crc_salt);
+    const std::vector<drv::BtAlignment> parsed = drv::accept_bt_scan(
+        std::move(stream.bt), job.separate_data, &result.bt_counters);
     for (const drv::BtAlignment& bt : parsed) {
       WFASIC_REQUIRE(bt.id < job.pairs.size(),
                      "HwBackend: unexpected alignment id in stream");
@@ -430,8 +440,7 @@ void HwBackend::decode_into(Completion& completion, const ActiveJob& active,
     result.cpu_bt_cycles = cpu_.backtrace_cycles(result.bt_counters);
     completion.decode_cycles = result.cpu_bt_cycles;
   } else {
-    for (const hw::NbtResult& nbt :
-         drv::decode_nbt_results_sorted(*memory_, layout)) {
+    for (const hw::NbtResult& nbt : stream.nbt) {
       WFASIC_REQUIRE(nbt.id < job.pairs.size(),
                      "HwBackend: unexpected alignment id in results");
       core::AlignResult& out = result.alignments[nbt.id];

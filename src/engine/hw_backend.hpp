@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "cpu/cpu_model.hpp"
+#include "drv/backtrace_cpu.hpp"
 #include "drv/driver.hpp"
 #include "engine/backend.hpp"
 #include "hw/accelerator.hpp"
@@ -171,13 +172,22 @@ class HwBackend final : public AlignmentBackend {
   /// configured interval has elapsed since the last one.
   void maybe_checkpoint();
   void complete_active();
-  /// With CRC on: tolerant pre-scan of the result stream (bounded by the
-  /// beats the DMA actually wrote). False means a record failed its CRC or
-  /// the stream is inconsistent — the completion becomes kDataError
-  /// instead of feeding the strict (aborting) decoders.
-  [[nodiscard]] bool stream_verifies(const ActiveJob& active) const;
+  /// A completed job's result stream, read once for both the CRC verdict
+  /// and the decode.
+  struct ResultStream {
+    /// With CRC on: every record passed its CRC and every id came exactly
+    /// once. False makes the completion kDataError instead of feeding the
+    /// strict (aborting) decode. Always true without CRC.
+    bool verified = true;
+    drv::BtStreamScan bt;            ///< backtrace jobs
+    std::vector<hw::NbtResult> nbt;  ///< score-only jobs, stream order
+  };
+  /// With CRC on, the read is bounded by the beats the DMA actually
+  /// wrote; without it, the decode trusts num_pairs and reads the whole
+  /// result area.
+  [[nodiscard]] ResultStream read_results(const ActiveJob& active) const;
   void decode_into(Completion& completion, const ActiveJob& active,
-                   const drv::RunStatus& status);
+                   const drv::RunStatus& status, ResultStream stream);
 
   HwBackendConfig cfg_;
   std::unique_ptr<mem::MainMemory> owned_memory_;

@@ -3,9 +3,9 @@
 // (320 bits for 64 parallel sections).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/assert.hpp"
 
@@ -16,12 +16,15 @@ namespace wfasic::hw {
   return (count * 5 + 7) / 8;
 }
 
-/// Packs `codes` (each < 32) into a little-endian-bit-order byte stream:
+/// Packs `codes` (each < 32) into `bytes` in little-endian bit order:
 /// field i occupies bits [5i, 5i+5), bit b of the stream is byte b/8,
-/// bit b%8.
-[[nodiscard]] inline std::vector<std::uint8_t> pack_5bit_stream(
-    std::span<const std::uint8_t> codes) {
-  std::vector<std::uint8_t> bytes(packed_5bit_bytes(codes.size()), 0);
+/// bit b%8. Every byte of `bytes` is written; those past the last field
+/// are zero. `bytes` must hold packed_5bit_bytes(codes.size()).
+inline void pack_5bit_stream(std::span<const std::uint8_t> codes,
+                             std::span<std::uint8_t> bytes) {
+  WFASIC_REQUIRE(bytes.size() >= packed_5bit_bytes(codes.size()),
+                 "pack_5bit_stream: output too small");
+  std::fill(bytes.begin(), bytes.end(), std::uint8_t{0});
   for (std::size_t idx = 0; idx < codes.size(); ++idx) {
     WFASIC_REQUIRE(codes[idx] < 32, "pack_5bit_stream: code >= 32");
     const std::size_t bit = idx * 5;
@@ -32,7 +35,6 @@ namespace wfasic::hw {
       bytes[byte + 1] |= static_cast<std::uint8_t>(codes[idx] >> (8 - shift));
     }
   }
-  return bytes;
 }
 
 /// Extracts field `idx` from a packed stream.
