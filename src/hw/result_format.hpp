@@ -7,6 +7,7 @@
 
 #include "common/assert.hpp"
 #include "common/types.hpp"
+#include "hw/bitpack.hpp"
 #include "mem/axi.hpp"
 
 namespace wfasic::hw {
@@ -57,6 +58,14 @@ struct NbtResult {
 
 inline constexpr std::size_t kBtPayloadBytes = 10;
 inline constexpr std::uint32_t kBtIdMask = (1u << 23) - 1;
+
+/// Transactions per backtrace block for P parallel sections: the block's
+/// P 5-bit origin codes, packed, in 10-byte payloads (4 for P = 64).
+[[nodiscard]] constexpr std::size_t bt_txns_per_block(
+    unsigned parallel_sections) {
+  return (packed_5bit_bytes(parallel_sections) + kBtPayloadBytes - 1) /
+         kBtPayloadBytes;
+}
 
 struct BtTransaction {
   std::array<std::uint8_t, kBtPayloadBytes> data{};

@@ -86,7 +86,7 @@ TEST(DecodeFuzz, RandomBuffersThroughNbtPartialNeverCrash) {
       layout.num_pairs = 8;
       layout.crc = crc;
       layout.crc_salt = static_cast<std::uint32_t>(prng.next_u64());
-      // Id-range filtering is the caller's job (stream_verifies /
+      // Id-range filtering is the caller's job (HwBackend::read_results /
       // harvest_verified_results); the decoder only guarantees it never
       // crashes, never reads past the written beats, and never returns
       // more records than the layout holds.
