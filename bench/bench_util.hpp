@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics_registry.hpp"
 #include "core/wfa.hpp"
 #include "cpu/cpu_model.hpp"
 #include "engine/metrics.hpp"
@@ -212,40 +213,19 @@ class BenchReport {
   std::vector<std::pair<std::string, double>> metrics_;
 };
 
-/// Adds an EngineMetrics export to a BenchReport under `prefix`_* keys
-/// (docs/OBSERVABILITY.md §4). The keys are informational — they are new
-/// relative to the checked-in baselines, and tools/bench_compare.py
-/// reports candidate-only keys without failing — so regression gating on
-/// the existing cycle/ratio metrics is unchanged.
+/// Adds an EngineMetrics export to a BenchReport: every value
+/// engine::export_to_registry writes under `prefix`, with the registry's
+/// own names (docs/OBSERVABILITY.md §4). The keys are informational —
+/// tools/bench_compare.py gates none of them — so regression gating on
+/// the cycle/ratio metrics is unchanged.
 inline void report_engine_metrics(BenchReport& report,
                                   const engine::EngineMetrics& metrics,
                                   const std::string& prefix) {
-  report.metric(prefix + "_submits", static_cast<double>(metrics.submits));
-  report.metric(prefix + "_completions",
-                static_cast<double>(metrics.completions));
-  report.metric(prefix + "_inflight_high_water",
-                static_cast<double>(metrics.in_flight_high_water));
-  report.metric(prefix + "_latency_mean_cycles", metrics.latency.mean());
-  report.metric(prefix + "_latency_min_cycles",
-                static_cast<double>(metrics.latency.min));
-  report.metric(prefix + "_latency_max_cycles",
-                static_cast<double>(metrics.latency.max));
-  report.metric(prefix + "_health_transitions",
-                static_cast<double>(metrics.health_transitions.size()));
-  // Per-lane accounting: devices 0..K-1, then the software backend.
-  for (std::size_t d = 0; d < metrics.devices.size(); ++d) {
-    const engine::DeviceMetrics& dm = metrics.devices[d];
-    const std::string lane = d + 1 < metrics.devices.size()
-                                 ? prefix + "_dev" + std::to_string(d)
-                                 : prefix + "_sw";
-    report.metric(lane + "_jobs", static_cast<double>(dm.jobs_completed));
-    report.metric(lane + "_failures", static_cast<double>(dm.jobs_failed));
-    report.metric(lane + "_busy_cycles",
-                  static_cast<double>(dm.busy_cycles));
-    report.metric(lane + "_utilization", dm.utilization());
-    report.metric(lane + "_queue_high_water",
-                  static_cast<double>(dm.queue_depth_high_water));
-  }
+  common::MetricsRegistry registry;
+  engine::export_to_registry(metrics, registry, prefix);
+  registry.for_each_value([&](const std::string& name, auto value) {
+    report.metric(name, static_cast<double>(value));
+  });
 }
 
 inline void print_rule(int width) {

@@ -21,10 +21,12 @@
 // simulated time.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/quantile.hpp"
@@ -104,29 +106,40 @@ class MetricsRegistry {
 
   [[nodiscard]] std::vector<std::string> text_lines() const {
     std::vector<std::string> lines;
-    for (const auto& [name, v] : counters_) {
-      lines.push_back(name + " " + std::to_string(v));
-    }
-    for (const auto& [name, v] : gauges_) {
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "%.6f", v);
-      lines.push_back(name + " " + buf);
-    }
-    for (const auto& [name, h] : hists_) {
-      const HistogramSummary s = summarize(h);
-      char buf[64];
-      lines.push_back(name + "_count " + std::to_string(s.count));
-      lines.push_back(name + "_sum " + std::to_string(s.sum));
-      std::snprintf(buf, sizeof buf, "%.6f", s.mean);
-      lines.push_back(name + "_mean " + std::string(buf));
-      lines.push_back(name + "_min " + std::to_string(s.min));
-      lines.push_back(name + "_max " + std::to_string(s.max));
-      lines.push_back(name + "_p50 " + std::to_string(s.p50));
-      lines.push_back(name + "_p90 " + std::to_string(s.p90));
-      lines.push_back(name + "_p99 " + std::to_string(s.p99));
-    }
+    for_each_value([&](const std::string& name, auto value) {
+      if constexpr (std::is_same_v<decltype(value), double>) {
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "%.6f", value);
+        lines.push_back(name + " " + buf);
+      } else {
+        lines.push_back(name + " " + std::to_string(value));
+      }
+    });
     std::sort(lines.begin(), lines.end());
     return lines;
+  }
+
+  /// Calls fn(name, value) once per exported value, in registration
+  /// order: every counter (std::uint64_t), every gauge (double), then each
+  /// histogram as its summary sub-keys `<name>_count`, `_sum`, `_mean`
+  /// (double), `_min`, `_max`, `_p50`, `_p90`, `_p99` (std::uint64_t).
+  /// The one place those sub-keys are named: text_lines() and the bench
+  /// reports (bench/bench_util.hpp) both iterate it.
+  template <typename Fn>
+  void for_each_value(Fn&& fn) const {
+    for (const auto& [name, v] : counters_) fn(name, v);
+    for (const auto& [name, v] : gauges_) fn(name, v);
+    for (const auto& [name, h] : hists_) {
+      const HistogramSummary s = summarize(h);
+      fn(name + "_count", s.count);
+      fn(name + "_sum", s.sum);
+      fn(name + "_mean", s.mean);
+      fn(name + "_min", s.min);
+      fn(name + "_max", s.max);
+      fn(name + "_p50", s.p50);
+      fn(name + "_p90", s.p90);
+      fn(name + "_p99", s.p99);
+    }
   }
 
   /// JSON exposition: {"counters":{...},"gauges":{...},"histograms":

@@ -575,9 +575,6 @@ ResilientReport Engine::run_resilient(
   std::deque<std::vector<std::size_t>> work;
   if (!initial.empty()) work.push_back(std::move(initial));
   std::vector<unsigned> isolated_tries(pairs.size(), 0);
-  /// Device cycles spent by launches each pair rode (the per-ticket
-  /// deadline's clock).
-  std::vector<std::uint64_t> pair_spent(pairs.size(), 0);
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> in_flight_segs;
 
   const auto dispatch = [&]() {
@@ -641,9 +638,6 @@ ResilientReport Engine::run_resilient(
       Completion completion = *try_take(JobHandle{handle_value});
       report.total_cycles += completion.accel_cycles;
       note_device_outcome(dev, completion.outcome);
-      for (const std::size_t idx : seg) {
-        pair_spent[idx] += completion.accel_cycles;
-      }
 
       std::vector<bool> resolved_local(seg.size(), false);
       for (const drv::HarvestedPair& h : completion.harvest) {
@@ -667,13 +661,10 @@ ResilientReport Engine::run_resilient(
             sent_to_sw[idx] != 0) {
           continue;
         }
-        // Per-ticket budgets: a pair that exhausted its hardware attempt
-        // budget or its accelerator-cycle deadline stops retrying and
-        // degrades to software now.
-        if ((cfg.pair_attempt_budget != 0 &&
-             report.outcomes[idx].hw_attempts >= cfg.pair_attempt_budget) ||
-            (cfg.pair_cycle_deadline != 0 &&
-             pair_spent[idx] >= cfg.pair_cycle_deadline)) {
+        // Per-pair budget: a pair that exhausted its hardware attempt
+        // budget stops retrying and degrades to software now.
+        if (cfg.pair_attempt_budget != 0 &&
+            report.outcomes[idx].hw_attempts >= cfg.pair_attempt_budget) {
           route_to_sw(idx);
           continue;
         }

@@ -92,10 +92,6 @@ struct ResilientConfig {
   /// in this many launches without a verified result degrades to the
   /// software path.
   unsigned pair_attempt_budget = 0;
-  /// Per-pair accelerator-cycle deadline (0 = off): once the launches a
-  /// pair rode have spent this many device cycles without resolving
-  /// it, it degrades to the software path.
-  std::uint64_t pair_cycle_deadline = 0;
 };
 
 struct ResilientReport {

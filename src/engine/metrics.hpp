@@ -5,8 +5,10 @@
 // All figures are derived from modelled cycle samples the completion
 // records already carry, so they are deterministic (the same dataset,
 // configuration and fault schedule reproduce them bit-for-bit) and cost
-// nothing when nobody reads them. Exported as Engine::metrics() and as
-// BENCH_*.json keys via bench/bench_util.hpp.
+// nothing when nobody reads them. Read as Engine::metrics();
+// export_to_registry below is the one place that names each field as a
+// metric, and the service registry, the BENCH_*.json keys
+// (bench/bench_util.hpp) and the tools' --stats dump all iterate it.
 #pragma once
 
 #include <cstdint>

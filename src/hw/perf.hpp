@@ -13,166 +13,128 @@
 // also maintained identically on the exact-stepping and idle-skip paths
 // (each component's skip_quiet applies the same linear updates its ticks
 // would have), so a snapshot is invariant across stepping strategies —
-// enforced by tests/test_observability.cpp. The one exception is
-// host_idle_skipped_cycles, a host-side diagnostic counting the cycles
-// the idle-skip fast path elided; it is zero by construction when
-// idle-skip is off.
+// enforced by tests/test_observability.cpp. The one exception is the
+// last counter, a host-side diagnostic counting the cycles the idle-skip
+// fast path elided; it is zero by construction when idle-skip is off.
+//
+// Each counter is declared once, in WFASIC_PERF_COUNTERS below. The
+// PerfIdx enum, the PerfSnapshot fields, the display names, the indexed
+// accessors and the rebase kind are all expanded from that one list, and
+// tests/test_metric_catalog.cpp checks docs/OBSERVABILITY.md's catalog
+// against it. Accelerator::perf_counters_raw is the one place that maps
+// components to counters.
 #pragma once
 
 #include <cstdint>
 
 namespace wfasic::hw {
 
-/// Counter indices, in register-bank order: counter i occupies the lo/hi
-/// pair at kRegPerfBase + 8*i (+0 lo, +4 hi).
+/// How a counter is rebased at Start (PerfSnapshot::rebased).
+enum class PerfRebase : std::uint8_t {
+  kMonotone,  ///< a count, reported relative to the Start-time snapshot
+  /// Taken as-is: the FIFO high-water marks are per-run maxima (rearmed
+  /// on Start; a max cannot be rebased by subtraction), and the ECC/error
+  /// counts mirror the live kRegEccCount/kRegErrCount registers, which
+  /// carry their own clear semantics.
+  kAbsolute,
+};
+
+/// The counter table, in register-bank order: counter i occupies the
+/// lo/hi pair at kRegPerfBase + 8*i (+0 lo, +4 hi). That order is also the
+/// checkpoint-blob and digest order, so rows are only ever appended.
+/// X(enum name, field and display name, PerfRebase, meaning).
+#define WFASIC_PERF_COUNTERS(X)                                               \
+  X(kExtractorPairsAccepted, extractor_pairs_accepted, kMonotone,             \
+    "pairs handed to an Aligner")                                             \
+  X(kExtractorPairsRejected, extractor_pairs_rejected, kMonotone,             \
+    "unsupported or CRC-failed pairs")                                        \
+  X(kExtractorWaitCycles, extractor_wait_cycles, kMonotone,                   \
+    "cycles stalled waiting for an idle Aligner")                             \
+  X(kExtendInvocations, extend_invocations, kMonotone,                        \
+    "ExtendUnit calls (one per valid cell)")                                  \
+  X(kExtendMatchedBases, extend_matched_bases, kMonotone,                     \
+    "total bases matched by extend runs")                                     \
+  X(kAlignerWavefrontSteps, aligner_wavefront_steps, kMonotone,               \
+    "score iterations across all Aligners")                                   \
+  X(kAlignerBusyCycles, aligner_busy_cycles, kMonotone,                       \
+    "cycles any Aligner was non-idle")                                        \
+  X(kAlignerStallCycles, aligner_stall_cycles, kMonotone,                     \
+    "output (BT queue) backpressure cycles")                                  \
+  X(kDmaBeatsRead, dma_beats_read, kMonotone,                                 \
+    "input beats fetched from memory")                                        \
+  X(kDmaBeatsWritten, dma_beats_written, kMonotone,                           \
+    "result beats written to memory")                                         \
+  X(kDmaStallFifoFull, dma_stall_fifo_full, kMonotone,                        \
+    "read beats held: input FIFO not ready")                                  \
+  X(kDmaStallPortBusy, dma_stall_port_busy, kMonotone,                        \
+    "read beats held: write had the port")                                    \
+  X(kInputFifoOccupancyCycles, input_fifo_occupancy_cycles, kMonotone,        \
+    "sum over cycles of input FIFO occupancy")                                \
+  X(kInputFifoHighWater, input_fifo_high_water, kAbsolute,                    \
+    "input FIFO high-water mark (this run)")                                  \
+  X(kOutputFifoOccupancyCycles, output_fifo_occupancy_cycles, kMonotone,      \
+    "sum over cycles of output FIFO occupancy")                               \
+  X(kOutputFifoHighWater, output_fifo_high_water, kAbsolute,                  \
+    "output FIFO high-water mark (this run)")                                 \
+  X(kEccCorrected, ecc_corrected, kAbsolute,                                  \
+    "ECC single-bit corrections (all RAMs)")                                  \
+  X(kErrCount, err_count, kAbsolute,                                          \
+    "errors latched (mirror of kRegErrCount)")                                \
+  X(kHostIdleSkippedCycles, host_idle_skipped_cycles, kMonotone,              \
+    "host diagnostic: cycles elided by idle-skip")
+
+/// Counter indices, in register-bank order.
 enum class PerfIdx : std::uint32_t {
-  kExtractorPairsAccepted = 0,  ///< pairs handed to an Aligner
-  kExtractorPairsRejected,      ///< unsupported or CRC-failed pairs
-  kExtractorWaitCycles,         ///< cycles stalled waiting for an idle Aligner
-  kExtendInvocations,           ///< ExtendUnit calls (one per valid cell)
-  kExtendMatchedBases,          ///< total bases matched by extend runs
-  kAlignerWavefrontSteps,       ///< score iterations across all Aligners
-  kAlignerBusyCycles,           ///< cycles any Aligner was non-idle
-  kAlignerStallCycles,          ///< output (BT queue) backpressure cycles
-  kDmaBeatsRead,                ///< input beats fetched from memory
-  kDmaBeatsWritten,             ///< result beats written to memory
-  kDmaStallFifoFull,            ///< read beats held: input FIFO not ready
-  kDmaStallPortBusy,            ///< read beats held: write had the port
-  kInputFifoOccupancyCycles,    ///< sum over cycles of input FIFO occupancy
-  kInputFifoHighWater,          ///< input FIFO high-water mark (this run)
-  kOutputFifoOccupancyCycles,   ///< sum over cycles of output FIFO occupancy
-  kOutputFifoHighWater,         ///< output FIFO high-water mark (this run)
-  kEccCorrected,                ///< ECC single-bit corrections (all RAMs)
-  kErrCount,                    ///< errors latched (mirror of kRegErrCount)
-  kHostIdleSkippedCycles,       ///< host diagnostic: cycles elided by idle-skip
+#define WFASIC_PERF_ENUM(idx, field, rebase, meaning) idx,
+  WFASIC_PERF_COUNTERS(WFASIC_PERF_ENUM)
+#undef WFASIC_PERF_ENUM
   kCount,
 };
 
 inline constexpr std::uint32_t kNumPerfCounters =
     static_cast<std::uint32_t>(PerfIdx::kCount);
 
-/// Stable display/key name of a counter ("extractor_pairs_accepted"…),
+/// Stable display/key name of a counter (its PerfSnapshot field name),
 /// used by the --stats CLI output and docs/OBSERVABILITY.md's catalog.
 inline constexpr const char* perf_counter_name(PerfIdx idx) {
-  switch (idx) {
-    case PerfIdx::kExtractorPairsAccepted: return "extractor_pairs_accepted";
-    case PerfIdx::kExtractorPairsRejected: return "extractor_pairs_rejected";
-    case PerfIdx::kExtractorWaitCycles: return "extractor_wait_cycles";
-    case PerfIdx::kExtendInvocations: return "extend_invocations";
-    case PerfIdx::kExtendMatchedBases: return "extend_matched_bases";
-    case PerfIdx::kAlignerWavefrontSteps: return "aligner_wavefront_steps";
-    case PerfIdx::kAlignerBusyCycles: return "aligner_busy_cycles";
-    case PerfIdx::kAlignerStallCycles: return "aligner_stall_cycles";
-    case PerfIdx::kDmaBeatsRead: return "dma_beats_read";
-    case PerfIdx::kDmaBeatsWritten: return "dma_beats_written";
-    case PerfIdx::kDmaStallFifoFull: return "dma_stall_fifo_full";
-    case PerfIdx::kDmaStallPortBusy: return "dma_stall_port_busy";
-    case PerfIdx::kInputFifoOccupancyCycles:
-      return "input_fifo_occupancy_cycles";
-    case PerfIdx::kInputFifoHighWater: return "input_fifo_high_water";
-    case PerfIdx::kOutputFifoOccupancyCycles:
-      return "output_fifo_occupancy_cycles";
-    case PerfIdx::kOutputFifoHighWater: return "output_fifo_high_water";
-    case PerfIdx::kEccCorrected: return "ecc_corrected";
-    case PerfIdx::kErrCount: return "err_count";
-    case PerfIdx::kHostIdleSkippedCycles: return "host_idle_skipped_cycles";
-    case PerfIdx::kCount: break;
-  }
-  return "?";
+  constexpr const char* kNames[] = {
+#define WFASIC_PERF_NAME(idx, field, rebase, meaning) #field,
+      WFASIC_PERF_COUNTERS(WFASIC_PERF_NAME)
+#undef WFASIC_PERF_NAME
+  };
+  const auto i = static_cast<std::uint32_t>(idx);
+  return i < kNumPerfCounters ? kNames[i] : "?";
 }
 
 /// One coherent reading of the whole PMU bank. Produced by
 /// Accelerator::perf_counters() (already rebased to the current run) and by
 /// Driver::read_perf_counters() (read back through the register window).
 struct PerfSnapshot {
-  std::uint64_t extractor_pairs_accepted = 0;
-  std::uint64_t extractor_pairs_rejected = 0;
-  std::uint64_t extractor_wait_cycles = 0;
-  std::uint64_t extend_invocations = 0;
-  std::uint64_t extend_matched_bases = 0;
-  std::uint64_t aligner_wavefront_steps = 0;
-  std::uint64_t aligner_busy_cycles = 0;
-  std::uint64_t aligner_stall_cycles = 0;
-  std::uint64_t dma_beats_read = 0;
-  std::uint64_t dma_beats_written = 0;
-  std::uint64_t dma_stall_fifo_full = 0;
-  std::uint64_t dma_stall_port_busy = 0;
-  std::uint64_t input_fifo_occupancy_cycles = 0;
-  std::uint64_t input_fifo_high_water = 0;
-  std::uint64_t output_fifo_occupancy_cycles = 0;
-  std::uint64_t output_fifo_high_water = 0;
-  std::uint64_t ecc_corrected = 0;
-  std::uint64_t err_count = 0;
-  std::uint64_t host_idle_skipped_cycles = 0;
+#define WFASIC_PERF_FIELD(idx, field, rebase, meaning) std::uint64_t field = 0;
+  WFASIC_PERF_COUNTERS(WFASIC_PERF_FIELD)
+#undef WFASIC_PERF_FIELD
 
   bool operator==(const PerfSnapshot&) const = default;
 
   [[nodiscard]] std::uint64_t counter(PerfIdx idx) const {
-    switch (idx) {
-      case PerfIdx::kExtractorPairsAccepted: return extractor_pairs_accepted;
-      case PerfIdx::kExtractorPairsRejected: return extractor_pairs_rejected;
-      case PerfIdx::kExtractorWaitCycles: return extractor_wait_cycles;
-      case PerfIdx::kExtendInvocations: return extend_invocations;
-      case PerfIdx::kExtendMatchedBases: return extend_matched_bases;
-      case PerfIdx::kAlignerWavefrontSteps: return aligner_wavefront_steps;
-      case PerfIdx::kAlignerBusyCycles: return aligner_busy_cycles;
-      case PerfIdx::kAlignerStallCycles: return aligner_stall_cycles;
-      case PerfIdx::kDmaBeatsRead: return dma_beats_read;
-      case PerfIdx::kDmaBeatsWritten: return dma_beats_written;
-      case PerfIdx::kDmaStallFifoFull: return dma_stall_fifo_full;
-      case PerfIdx::kDmaStallPortBusy: return dma_stall_port_busy;
-      case PerfIdx::kInputFifoOccupancyCycles:
-        return input_fifo_occupancy_cycles;
-      case PerfIdx::kInputFifoHighWater: return input_fifo_high_water;
-      case PerfIdx::kOutputFifoOccupancyCycles:
-        return output_fifo_occupancy_cycles;
-      case PerfIdx::kOutputFifoHighWater: return output_fifo_high_water;
-      case PerfIdx::kEccCorrected: return ecc_corrected;
-      case PerfIdx::kErrCount: return err_count;
-      case PerfIdx::kHostIdleSkippedCycles: return host_idle_skipped_cycles;
-      case PerfIdx::kCount: break;
-    }
-    return 0;
+    const auto i = static_cast<std::uint32_t>(idx);
+    return i < kNumPerfCounters ? this->*member(i) : 0;
   }
 
   void set_counter(PerfIdx idx, std::uint64_t v) {
-    switch (idx) {
-      case PerfIdx::kExtractorPairsAccepted: extractor_pairs_accepted = v; return;
-      case PerfIdx::kExtractorPairsRejected: extractor_pairs_rejected = v; return;
-      case PerfIdx::kExtractorWaitCycles: extractor_wait_cycles = v; return;
-      case PerfIdx::kExtendInvocations: extend_invocations = v; return;
-      case PerfIdx::kExtendMatchedBases: extend_matched_bases = v; return;
-      case PerfIdx::kAlignerWavefrontSteps: aligner_wavefront_steps = v; return;
-      case PerfIdx::kAlignerBusyCycles: aligner_busy_cycles = v; return;
-      case PerfIdx::kAlignerStallCycles: aligner_stall_cycles = v; return;
-      case PerfIdx::kDmaBeatsRead: dma_beats_read = v; return;
-      case PerfIdx::kDmaBeatsWritten: dma_beats_written = v; return;
-      case PerfIdx::kDmaStallFifoFull: dma_stall_fifo_full = v; return;
-      case PerfIdx::kDmaStallPortBusy: dma_stall_port_busy = v; return;
-      case PerfIdx::kInputFifoOccupancyCycles:
-        input_fifo_occupancy_cycles = v; return;
-      case PerfIdx::kInputFifoHighWater: input_fifo_high_water = v; return;
-      case PerfIdx::kOutputFifoOccupancyCycles:
-        output_fifo_occupancy_cycles = v; return;
-      case PerfIdx::kOutputFifoHighWater: output_fifo_high_water = v; return;
-      case PerfIdx::kEccCorrected: ecc_corrected = v; return;
-      case PerfIdx::kErrCount: err_count = v; return;
-      case PerfIdx::kHostIdleSkippedCycles:
-        host_idle_skipped_cycles = v; return;
-      case PerfIdx::kCount: return;
-    }
+    const auto i = static_cast<std::uint32_t>(idx);
+    if (i < kNumPerfCounters) this->*member(i) = v;
   }
 
-  /// Absolute fields are taken as-is when rebasing: the FIFO high-water
-  /// marks are per-run maxima (rearmed on Start, a max cannot be rebased
-  /// by subtraction), and the ECC/error counts mirror the live
-  /// kRegEccCount/kRegErrCount registers, which carry their own clear
-  /// semantics. Everything else is a monotone count rebased against the
-  /// Start-time snapshot.
-  [[nodiscard]] static bool is_absolute(PerfIdx idx) {
-    return idx == PerfIdx::kInputFifoHighWater ||
-           idx == PerfIdx::kOutputFifoHighWater ||
-           idx == PerfIdx::kEccCorrected || idx == PerfIdx::kErrCount;
+  /// True for the counters PerfRebase::kAbsolute marks.
+  [[nodiscard]] static constexpr bool is_absolute(PerfIdx idx) {
+    constexpr PerfRebase kRebase[] = {
+#define WFASIC_PERF_REBASE(idx, field, rebase, meaning) PerfRebase::rebase,
+        WFASIC_PERF_COUNTERS(WFASIC_PERF_REBASE)
+#undef WFASIC_PERF_REBASE
+    };
+    const auto i = static_cast<std::uint32_t>(idx);
+    return i < kNumPerfCounters && kRebase[i] == PerfRebase::kAbsolute;
   }
 
   /// The per-run reading: monotone counters are rebased (this - base),
@@ -186,6 +148,17 @@ struct PerfSnapshot {
                       is_absolute(idx) ? cur : cur - base.counter(idx));
     }
     return out;
+  }
+
+ private:
+  /// The field of counter i (i < kNumPerfCounters).
+  static std::uint64_t PerfSnapshot::*member(std::uint32_t i) {
+    static constexpr std::uint64_t PerfSnapshot::*kFields[] = {
+#define WFASIC_PERF_MEMBER(idx, field, rebase, meaning) &PerfSnapshot::field,
+        WFASIC_PERF_COUNTERS(WFASIC_PERF_MEMBER)
+#undef WFASIC_PERF_MEMBER
+    };
+    return kFields[i];
   }
 };
 

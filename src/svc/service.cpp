@@ -30,8 +30,7 @@ AlignService::AlignService(const ServiceConfig& cfg)
       engine_(cfg_.engine),
       wfq_(lane_weights(cfg_.lanes)),
       queues_(cfg_.lanes.size()),
-      tick_(cfg_.tick_cycles != 0 ? cfg_.tick_cycles
-                                  : cfg_.engine.device.poll_quantum),
+      tick_(cfg_.engine.device.poll_quantum),
       max_inflight_(cfg_.max_inflight_shards != 0
                         ? cfg_.max_inflight_shards
                         : 2 * engine_.num_devices()),
@@ -523,19 +522,8 @@ void AlignService::dispatch() {
     shard.est_cycles = estimate_cycles(shard);
 
     // Degradation policy: an unusable fleet always degrades to software
-    // (liveness — admitted work must drain); kDegradeToSoftware also
-    // spills over once every usable device is backlogged to the limit.
-    bool software = !fleet_usable();
-    if (!software && cfg_.degrade == DegradeMode::kDegradeToSoftware &&
-        cfg_.hw_backlog_limit != 0) {
-      bool all_backlogged = true;
-      for (unsigned d = 0; d < engine_.num_devices(); ++d) {
-        if (!engine_.health().usable(d)) continue;
-        all_backlogged =
-            all_backlogged && engine_.device(d).pending() >= cfg_.hw_backlog_limit;
-      }
-      software = all_backlogged;
-    }
+    // (liveness — admitted work must drain).
+    const bool software = !fleet_usable();
     // The queue-wait span closes for every request the shard carries
     // (stamped at arrival — the request→shard join the explainer uses),
     // then the shard itself is born.

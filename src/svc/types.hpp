@@ -4,8 +4,9 @@
 // submits one pair at a time into a tenant lane and harvests completions
 // out of order. Everything here is expressed in *modeled* cycles — the
 // service's deterministic virtual clock (AlignService::now), which
-// advances one engine scheduling quantum per pump — so admission
-// decisions, deadlines, sheds and latency percentiles replay bit for bit.
+// advances one engine scheduling quantum (engine.device.poll_quantum) per
+// pump — so admission decisions, deadlines, sheds and latency percentiles
+// replay bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +68,7 @@ struct ServiceCompletion {
 };
 
 /// What the service does when the hardware fleet degrades (every device
-/// quarantined/retired, or the backlog limit exceeded).
+/// quarantined or retired).
 enum class DegradeMode : std::uint8_t {
   /// Turn away new submissions (Admission::kRejected) while the fleet is
   /// unusable; already-admitted work still drains through the software
